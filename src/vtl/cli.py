@@ -256,7 +256,7 @@ def _cmd_eval(args) -> int:
         lines = [
             f"{args.word}  (n={args.n}, d={rep.d}: {value.rows}x{value.cols} matrix)",
             f"trace = {value.trace()}",
-            f"nonzero entries = {sum(1 for row in value.entries for e in row if not e.is_zero)}",
+            f"nonzero entries = {value.nnz}",
         ]
     _emit(obj, args.fmt, lines)
     return 0

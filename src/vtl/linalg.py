@@ -1,11 +1,19 @@
-"""Dense exact matrices over a quadratic number field.
+"""Exact matrices over a quadratic number field, stored by their nonzeros.
 
-Everything here is plain Gaussian elimination with exact division; there is
-no floating point anywhere.  Matrices are immutable by convention: methods
-return fresh instances and never mutate entry lists in place.
+A matrix keeps only its nonzero entries, as {row: {col: scalar}} with no
+stored zeros and no empty rows, so equality is a plain comparison of the maps
+and arithmetic touches nonzeros only.  The class keeps its historical name
+`DenseMatrix`: the surface is that of a dense matrix (`[r, c]` reads any
+entry, `entries` gives the dense rows), only the storage is sparse.
+
+Everything here is exact; there is no floating point anywhere.  Matrices are
+immutable: methods return fresh instances.  `invert`, `rank` and
+`solve_columns` run Gaussian elimination on dense working copies.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .errors import StrandMismatchError
 from .scalars import QuadScalar, as_scalar
@@ -17,43 +25,86 @@ _ONE = QuadScalar(1)
 
 
 class DenseMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: list[Row]):
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        for row in entries:
+        data = {}
+        for r, row in enumerate(entries):
             if len(row) != cols:
                 raise ValueError("ragged rows")
+            nonzero = {}
+            for c, value in enumerate(row):
+                value = as_scalar(value)
+                if not value.is_zero:
+                    nonzero[c] = value
+            if nonzero:
+                data[r] = nonzero
+        self._init(rows, cols, data)
+
+    def _init(self, rows: int, cols: int, data: dict[int, dict[int, QuadScalar]]):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", [list(row) for row in entries])
+        object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data) -> DenseMatrix:
+        """Wrap a map that already has no zeros and no empty rows."""
+        out = cls.__new__(cls)
+        out._init(rows, cols, data)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> DenseMatrix:
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, {})
 
     @classmethod
     def identity(cls, size: int) -> DenseMatrix:
-        out = [[_ZERO] * size for _ in range(size)]
-        for k in range(size):
-            out[k][k] = _ONE
-        return cls(out)
+        return cls._trusted(size, size, {k: {k: _ONE} for k in range(size)})
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, positions) -> DenseMatrix:
-        """Build from {(row, col): scalar-like} nonzero positions."""
-        out = [[_ZERO] * cols for _ in range(rows)]
+        """Build from {(row, col): scalar-like} positions; zero values are dropped."""
+        data: dict[int, dict[int, QuadScalar]] = {}
         for (r, c), value in positions.items():
-            out[r][c] = as_scalar(value)
-        return cls(out)
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError(f"position {(r, c)} outside {rows}x{cols}")
+            value = as_scalar(value)
+            if not value.is_zero:
+                data.setdefault(r, {})[c] = value
+        return cls._trusted(rows, cols, data)
 
     def __getitem__(self, key: tuple[int, int]) -> QuadScalar:
         r, c = key
-        return self.entries[r][c]
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"position {key} outside {self.rows}x{self.cols}")
+        row = self._data.get(r)
+        return _ZERO if row is None else row.get(c, _ZERO)
+
+    @property
+    def entries(self) -> list[Row]:
+        """Dense rows, built on demand; a fresh copy on every access."""
+        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for r, row in self._data.items():
+            dense = out[r]
+            for c, value in row.items():
+                dense[c] = value
+        return out
+
+    def nonzeros(self) -> Iterator[tuple[int, int, QuadScalar]]:
+        """(row, col, value) of every nonzero entry, in row-major order."""
+        for r in sorted(self._data):
+            row = self._data[r]
+            for c in sorted(row):
+                yield r, c, row[c]
+
+    @property
+    def nnz(self) -> int:
+        return sum(len(row) for row in self._data.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
@@ -61,54 +112,76 @@ class DenseMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __hash__(self):  # pragma: no cover - unused, keep eq sane
-        return hash((self.rows, self.cols, tuple(map(tuple, self.entries))))
+        return hash((self.rows, self.cols, tuple(self.nonzeros())))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not self._data
 
     def __add__(self, other: DenseMatrix) -> DenseMatrix:
         self._shape_check(other, same=True)
-        return DenseMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, negate=False)
 
     def __sub__(self, other: DenseMatrix) -> DenseMatrix:
         self._shape_check(other, same=True)
-        return DenseMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, negate=True)
+
+    def _combine(self, other: DenseMatrix, negate: bool) -> DenseMatrix:
+        """self + other, or self - other when `negate`; entries that cancel are dropped."""
+        data = {r: dict(row) for r, row in self._data.items()}
+        for r, row in other._data.items():
+            acc = data.get(r)
+            if acc is None:
+                data[r] = {c: -v for c, v in row.items()} if negate else dict(row)
+                continue
+            for c, v in row.items():
+                old = acc.get(c)
+                if old is None:
+                    acc[c] = -v if negate else v
+                    continue
+                new = old - v if negate else old + v
+                if new.is_zero:
+                    del acc[c]
+                else:
+                    acc[c] = new
+            if not acc:
+                del data[r]
+        return DenseMatrix._trusted(self.rows, self.cols, data)
 
     def __neg__(self) -> DenseMatrix:
         return self.scale(-1)
 
     def scale(self, s) -> DenseMatrix:
         s = as_scalar(s)
-        return DenseMatrix([[s * e for e in row] for row in self.entries])
+        if s.is_zero:
+            return DenseMatrix.zero(self.rows, self.cols)
+        if s == _ONE:
+            return self
+        # A product of nonzeros in a field is nonzero: nothing to drop.
+        data = {r: {c: s * v for c, v in row.items()} for r, row in self._data.items()}
+        return DenseMatrix._trusted(self.rows, self.cols, data)
 
     def __mul__(self, other: DenseMatrix) -> DenseMatrix:
         self._shape_check(other, same=False)
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        for r, row in enumerate(self.entries):
-            acc = out[r]
-            for k, a in enumerate(row):
-                if a.is_zero:
+        right = other._data
+        data = {}
+        for r, row in self._data.items():
+            acc: dict[int, QuadScalar] = {}
+            for k, a in row.items():
+                brow = right.get(k)
+                if brow is None:
                     continue
-                brow = other.entries[k]
-                for c, b in enumerate(brow):
-                    if not b.is_zero:
-                        acc[c] = acc[c] + a * b
-        return DenseMatrix(out)
+                for c, b in brow.items():
+                    old = acc.get(c)
+                    acc[c] = a * b if old is None else old + a * b
+            acc = {c: v for c, v in acc.items() if not v.is_zero}
+            if acc:
+                data[r] = acc
+        return DenseMatrix._trusted(self.rows, other.cols, data)
 
     def _shape_check(self, other: DenseMatrix, same: bool) -> None:
         if same and (self.rows, self.cols) != (other.rows, other.cols):
@@ -121,28 +194,29 @@ class DenseMatrix:
             )
 
     def transpose(self) -> DenseMatrix:
-        return DenseMatrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        )
+        data: dict[int, dict[int, QuadScalar]] = {}
+        for r, row in self._data.items():
+            for c, value in row.items():
+                data.setdefault(c, {})[r] = value
+        return DenseMatrix._trusted(self.cols, self.rows, data)
 
     def trace(self) -> QuadScalar:
         total = _ZERO
-        for k in range(min(self.rows, self.cols)):
-            total = total + self.entries[k][k]
+        for k, row in self._data.items():
+            if k in row:
+                total = total + row[k]
         return total
 
     def to_obj(self) -> dict:
+        """Dense flat layout: [x_num, x_den, y_num, y_den] per entry, row-major."""
         D = None
-        for row in self.entries:
-            for e in row:
-                if not e.is_rational:
-                    if D is not None and D != e.D:
-                        raise ValueError("mixed discriminants in one matrix")
-                    D = e.D
+        for _, _, e in self.nonzeros():
+            if not e.is_rational:
+                if D is not None and D != e.D:
+                    raise ValueError("mixed discriminants in one matrix")
+                D = e.D
         if D is None:
-            from fractions import Fraction
-
-            D = Fraction(0)
+            D = _ZERO.D
         flat = [
             [e.x.numerator, e.x.denominator, e.y.numerator, e.y.denominator]
             for row in self.entries
@@ -165,8 +239,8 @@ def invert(m: DenseMatrix) -> DenseMatrix | None:
     if m.rows != m.cols:
         return None
     size = m.rows
-    work = [list(row) for row in m.entries]
-    aug = [list(row) for row in DenseMatrix.identity(size).entries]
+    work = m.entries
+    aug = DenseMatrix.identity(size).entries
     for col in range(size):
         pivot = next((r for r in range(col, size) if not work[r][col].is_zero), None)
         if pivot is None:
@@ -186,7 +260,7 @@ def invert(m: DenseMatrix) -> DenseMatrix | None:
 
 
 def rank(m: DenseMatrix) -> int:
-    work = [list(row) for row in m.entries]
+    work = m.entries
     r = 0
     for col in range(m.cols):
         pivot = next((k for k in range(r, m.rows) if not work[k][col].is_zero), None)

@@ -437,7 +437,7 @@ def _residual_norm(rep: Rep, residual) -> str:
     if rep.kind == "diagram":
         mags = [abs(c.approx()) for _, c in residual.terms()]
         return f"{len(mags)} terms, max |coeff| ~= {max(mags):.6g}"
-    mags = [abs(e.approx()) for row in residual.entries for e in row if not e.is_zero]
+    mags = [abs(e.approx()) for _, _, e in residual.nonzeros()]
     return f"{len(mags)} entries, max |entry| ~= {max(mags):.6g}"
 
 

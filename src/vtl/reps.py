@@ -123,10 +123,8 @@ class MatrixRep:
         return invert(x)
 
     def witness(self, x) -> dict | None:
-        for r, row in enumerate(x.entries):
-            for c, entry in enumerate(row):
-                if not entry.is_zero:
-                    return {"row": r, "col": c, "entry": entry.to_obj()}
+        for r, c, entry in x.nonzeros():
+            return {"row": r, "col": c, "entry": entry.to_obj()}
         return None
 
 

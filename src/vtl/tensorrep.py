@@ -15,8 +15,15 @@ from .diagrams import Matching, identity_diagram
 from .elements import AlgebraElement
 from .errors import StrandMismatchError
 from .linalg import DenseMatrix
-from .scalars import QuadScalar
+from .scalars import ONE, QuadScalar
 from .words import E, V, GeneratorSymbol
+
+
+# Largest tensor space d^n the model builds.  Matrices keep only their
+# nonzeros, but a word image can still hold d^n * (number of matchings)
+# entries, and `invert` and `rank` eliminate on dense d^n x d^n copies.  The
+# test suite and the benchmark stay at or below 3^5 = 243.
+MAX_TENSOR_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,12 @@ class RepConfig:
             raise ValueError("need at least one strand")
         if self.d < 2:
             raise ValueError("local dimension must be at least 2")
+        # d >= 2, so d^n >= 2^n: a large n is refused before d**n is formed.
+        if self.n >= MAX_TENSOR_DIM.bit_length() or self.d**self.n > MAX_TENSOR_DIM:
+            raise ValueError(
+                f"tensor space d^n = {self.d}^{self.n} exceeds the cap of"
+                f" {MAX_TENSOR_DIM} basis states"
+            )
 
     @property
     def dim(self) -> int:
@@ -75,48 +88,46 @@ def site_embed(op: DenseMatrix, i: int, config: RepConfig) -> DenseMatrix:
     right = d ** (n - i - 1)
     left = d ** (i - 1)
     positions = {}
-    for mr in range(mid):
-        for mc in range(mid):
-            entry = op[mr, mc]
-            if entry.is_zero:
-                continue
-            for l in range(left):
-                base_r = (l * mid + mr) * right
-                base_c = (l * mid + mc) * right
-                for r in range(right):
-                    positions[(base_r + r, base_c + r)] = entry
+    for mr, mc, entry in op.nonzeros():
+        for l in range(left):
+            base_r = (l * mid + mr) * right
+            base_c = (l * mid + mc) * right
+            for r in range(right):
+                positions[(base_r + r, base_c + r)] = entry
     return DenseMatrix.from_entries(config.dim, config.dim, positions)
 
 
 def matching_matrix(m: Matching, config: RepConfig) -> DenseMatrix:
     """Matrix of one diagram: each pair forces its two endpoint indices equal.
 
-    Row index decodes to the top labels (j1..jn), column to the bottom labels
-    (i1..in); the entry is 1 precisely when every pair of the matching links
-    equal labels.  On generators this reproduces perm/ptranspose at the site.
+    Row index encodes the top labels (j1..jn), column the bottom labels
+    (i1..in), leftmost most significant; the entry is 1 precisely when every
+    pair of the matching links equal labels.  Those entries are enumerated
+    directly: a labeling gives each of the n pairs one label in range(d), and
+    each of the d^n labelings fixes one (row, col).  On generators this
+    reproduces perm/ptranspose at the site.
     """
     if m.n != config.n:
         raise StrandMismatchError(f"matching on n={m.n}, config n={config.n}")
     n, d = config.n, config.d
-
-    def digits(index: int) -> list[int]:
-        out = [0] * n
-        for k in range(n - 1, -1, -1):
-            index, out[k] = divmod(index, d)
-        return out
-
-    positions = {}
-    for row in range(config.dim):
-        tops = digits(row)
-        for col in range(config.dim):
-            bots = digits(col)
-
-            def label(endpoint: int) -> int:
-                return tops[endpoint] if endpoint < n else bots[endpoint - n]
-
-            if all(label(p) == label(q) for p, q in m.pairs):
-                positions[(row, col)] = 1
-    return DenseMatrix.from_entries(config.dim, config.dim, positions)
+    cells = [(0, 0)]
+    for pair in m.pairs:
+        # The place value one unit of this pair's label adds to the row and
+        # to the column index.
+        row_step = col_step = 0
+        for endpoint in pair:
+            if endpoint < n:
+                row_step += d ** (n - 1 - endpoint)
+            else:
+                col_step += d ** (2 * n - 1 - endpoint)
+        cells = [
+            (row + label * row_step, col + label * col_step)
+            for row, col in cells
+            for label in range(d)
+        ]
+    return DenseMatrix.from_entries(
+        config.dim, config.dim, {cell: ONE for cell in cells}
+    )
 
 
 def rep_element(x: AlgebraElement, config: RepConfig) -> DenseMatrix:

@@ -55,9 +55,19 @@ ALGEBRA_FAMILIES: dict[str, tuple[str, ...]] = {
 }
 
 
-def expected_zero(family: str, params: RhoParams, rep: Rep) -> bool:
-    """Exact prediction: does this family's residual vanish here?"""
+def expected_zero(
+    family: str, params: RhoParams, rep: Rep, variant: str | None = None
+) -> bool:
+    """Exact prediction: does this instance's residual vanish here?
+
+    The prediction is keyed on (family, variant); `variant=None` asks about
+    the family's defining relation.  Distant rho's commute
+    (BGR `commute j=...`) for every parameter value, because the e's and v's
+    at sites two or more apart do.
+    """
     if family in ("TLR", "VCR", "VEV", "VBR", "brauer", "f_explicit"):
+        return True
+    if family == "BGR" and variant is not None and variant.startswith("commute"):
         return True
     a, b, c, lam = params.a, params.b, params.c, params.lam
     alpha = b * (a * a + a * b * lam + b * b)
@@ -127,8 +137,14 @@ def _run_checks(request: VerifyRequest, rep: Rep) -> list[dict]:
             )
             continue
         instances = relation_instances(family, request.n, request.params)
-        want_zero = expected_zero(family, request.params, rep)
+        # One prediction per variant: sites differ only in where they act.
+        verdicts: dict[str, bool] = {}
         for inst in instances:
+            if inst.variant not in verdicts:
+                verdicts[inst.variant] = expected_zero(
+                    family, request.params, rep, inst.variant
+                )
+            want_zero = verdicts[inst.variant]
             report = check_relation(inst, rep, request.params)
             observed_zero = report.residual_zero
             if want_zero and observed_zero:
@@ -216,7 +232,8 @@ def _independence_probe(rep: Rep) -> dict | None:
     elems = [rep.sub(rep.v(1), rep.v(2))]
     elems += [evaluate_expr(f_word_expr(j, 1), rep) for j in range(3)]
     if rep.kind == "matrix":
-        rows = [[e for row in m.entries for e in row] for m in elems]
+        positions = sorted({(r, c) for m in elems for r, c, _ in m.nonzeros()})
+        rows = [[m[r, c] for r, c in positions] for m in elems]
     else:
         basis = sorted(
             {m for elem in elems for m, _ in elem.terms()},

@@ -103,6 +103,13 @@ def test_eval_matrix_word(capsys):
     # e^2 = 2e at d=2: entries are 0 or 2
     flat = {tuple(e) for e in obj["matrix"]["entries"]}
     assert flat <= {(0, 1, 0, 1), (2, 1, 0, 1)}
+    code, out, _ = run_cli(
+        capsys, "eval", "--word", "e1 e1", "--n", "2", "--rep", "matrix",
+        "--dim", "2",
+    )
+    assert code == 0
+    assert "trace = 4" in out
+    assert "nonzero entries = 4" in out
 
 
 def test_eval_braid_inverse_word(capsys):
@@ -147,3 +154,15 @@ def test_unparsable_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lambda", "two"])
     assert exc.value.code == 2
+
+
+def test_oversized_tensor_space_exits_two(capsys):
+    """d^n = 4^8 is refused before any matrix is built."""
+    for argv in (
+        ("verify", "--rep", "matrix", "--n", "8", "--dim", "4"),
+        ("eval", "--word", "e1 v2", "--rep", "matrix", "--n", "8", "--dim", "4"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap" in err

@@ -100,4 +100,6 @@ def test_witness_points_at_a_nonzero_piece():
     m = MatrixRep(2, 2)
     mw = m.witness(m.sub(m.e(1), m.one()))
     assert set(mw) == {"row", "col", "entry"}
+    # the first nonzero in row-major order: e_1 - 1 vanishes at (0, 0)
+    assert (mw["row"], mw["col"]) == (0, 3)
     assert m.witness(m.zero()) is None

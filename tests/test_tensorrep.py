@@ -5,6 +5,7 @@ import random
 import pytest
 
 from vtl.diagrams import (
+    Matching,
     compose,
     e_diagram,
     identity_diagram,
@@ -19,6 +20,7 @@ from vtl.reps import evaluate_symbols
 from vtl.rho import RhoParams
 from vtl.scalars import QuadScalar
 from vtl.tensorrep import (
+    MAX_TENSOR_DIM,
     RepConfig,
     factor_matching,
     matching_matrix,
@@ -41,6 +43,45 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                 for cb in range(b.cols):
                     out[ra * b.rows + rb][ca * b.cols + cb] = a[ra, ca] * b[rb, cb]
     return DenseMatrix(out)
+
+
+def matching_matrix_by_pairs(m, config: RepConfig) -> DenseMatrix:
+    """All-(row, col)-pairs definition of a diagram's matrix, a test oracle.
+
+    Tests each of the d^(2n) index pairs: the entry is 1 precisely when every
+    pair of the matching links equal labels.
+    """
+    n, d = config.n, config.d
+
+    def digits(index):
+        out = [0] * n
+        for k in range(n - 1, -1, -1):
+            index, out[k] = divmod(index, d)
+        return out
+
+    positions = {}
+    for row in range(config.dim):
+        for col in range(config.dim):
+            labels = digits(row) + digits(col)
+            if all(labels[p] == labels[q] for p, q in m.pairs):
+                positions[(row, col)] = 1
+    return DenseMatrix.from_entries(config.dim, config.dim, positions)
+
+
+def every_matching(n):
+    """All perfect matchings of the 2n endpoints, (2n-1)!! of them."""
+
+    def pairings(points):
+        if not points:
+            yield []
+            return
+        first, rest = points[0], points[1:]
+        for k, partner in enumerate(rest):
+            for tail in pairings(rest[:k] + rest[k + 1:]):
+                yield [(first, partner)] + tail
+
+    for pairs in pairings(list(range(2 * n))):
+        yield Matching(n, pairs)
 
 
 def test_swap_on_two_qudits():
@@ -123,6 +164,30 @@ def test_matching_matrix_reproduces_generators():
             assert matching_matrix(v_diagram(i, n), config) == site_embed(
                 perm_matrix(d), i, config
             )
+
+
+def test_matching_matrix_matches_all_pairs_oracle():
+    for n in (1, 2, 3):
+        for d in (2, 3):
+            config = RepConfig(n=n, d=d)
+            count = 0
+            for m in every_matching(n):
+                got = matching_matrix(m, config)
+                assert got == matching_matrix_by_pairs(m, config)
+                assert got.nnz == d**n
+                count += 1
+            assert count == {1: 1, 2: 3, 3: 15}[n]
+
+
+def test_rep_config_caps_the_tensor_space():
+    assert RepConfig(n=5, d=3).dim == 243
+    assert RepConfig(n=12, d=2).dim == MAX_TENSOR_DIM
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        RepConfig(n=8, d=4)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        RepConfig(n=13, d=2)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        RepConfig(n=10**9, d=2)
 
 
 def test_matching_matrix_permutations():

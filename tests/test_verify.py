@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vtl.relations import params_obj
 from vtl.reps import DiagramRep, MatrixRep
 from vtl.rho import RhoParams, solve_ab
 from vtl.verify import ALGEBRA_FAMILIES, VerifyRequest, expected_zero, run_verify
@@ -78,6 +79,48 @@ def test_expected_zero_complement_moves():
     assert not expected_zero("fstar", p, DiagramRep(3, 2))
     with pytest.raises(ValueError):
         expected_zero("not_a_family", p, DiagramRep(3, 2))
+
+
+def test_expected_zero_is_keyed_on_variant():
+    """Distant rho's commute at every parameter point, even where the braid
+    relation of the same family fails."""
+    p = params_at(1, 2, 3, Fraction(5, 2))
+    for rep in (DiagramRep(4, Fraction(5, 2)), MatrixRep(4, 3)):
+        assert not expected_zero("BGR", p, rep)
+        assert not expected_zero("BGR", p, rep, "braid")
+        assert expected_zero("BGR", p, rep, "commute j=3")
+
+
+def grid_points(lam):
+    """Generic rationals, both braid roots, a + b = 0 and c = 0 at one lambda."""
+    b_plus, b_minus = solve_ab(lam)
+    return [
+        params_at(1, 2, 3, lam),
+        params_at(1, b_plus, 1, lam),
+        params_at(1, b_minus, 1, lam),
+        params_at(1, -1, 1, lam),
+        params_at(1, 2, 0, lam),
+    ]
+
+
+def test_verify_expectations_hold_over_a_parameter_grid():
+    """Every verdict matches its prediction beyond n = 3, where distant
+    commute instances first appear."""
+    commute_checked = 0
+    for lam in (Fraction(5, 2), Fraction(3), Fraction(2)):
+        for p in grid_points(lam):
+            for n in (3, 4, 5, 6):
+                report = run_verify(VerifyRequest("vtl", "diagram", n, p, probe_samples=2))
+                assert report["ok"], (lam, params_obj(p), n)
+                for c in by_family(report, "BGR"):
+                    if c["variant"].startswith("commute"):
+                        assert c["status"] == "pass"
+                        commute_checked += 1
+    for p in grid_points(Fraction(2)):
+        report = run_verify(VerifyRequest("utl", "matrix", 4, p, dim=2, probe_samples=2))
+        assert report["ok"], params_obj(p)
+    # 0 + 1 + 3 + 6 distant pairs at n = 3..6, at 15 points
+    assert commute_checked == 15 * 10
 
 
 def test_run_verify_all_pass_at_solved_parameters():
