@@ -21,8 +21,7 @@ Pair = tuple[int, int]
 
 
 def _canonical(pairs) -> tuple[Pair, ...]:
-    fixed = tuple(sorted((min(p, q), max(p, q)) for p, q in pairs))
-    return fixed
+    return tuple(sorted((p, q) if p < q else (q, p) for p, q in pairs))
 
 
 @total_ordering
@@ -45,6 +44,14 @@ class Matching:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _trusted(cls, n: int, pairs) -> Matching:
+        """Canonicalise pairs already known to match the 2n endpoints; no checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "pairs", _canonical(pairs))
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Matching is immutable")
@@ -147,8 +154,9 @@ def compose(upper: Matching, lower: Matching) -> tuple[Matching, int]:
     # Glued-picture node encoding: 0..n-1 new tops, n..2n-1 middle (upper
     # bottoms = lower tops), 2n..3n-1 new bottoms.  Upper endpoints keep
     # their indices; lower endpoints shift by n.
-    up_nbr: dict[int, int] = {}
-    low_nbr: dict[int, int] = {}
+    mid_end = 2 * n
+    up_nbr = [0] * mid_end
+    low_nbr = [0] * (3 * n)
     for p, q in upper.pairs:
         up_nbr[p] = q
         up_nbr[q] = p
@@ -156,42 +164,37 @@ def compose(upper: Matching, lower: Matching) -> tuple[Matching, int]:
         low_nbr[p + n] = q + n
         low_nbr[q + n] = p + n
 
-    def is_middle(node: int) -> bool:
-        return n <= node < 2 * n
-
-    visited: set[int] = set()
+    # Boundary endpoints are walked in increasing order of their new label,
+    # so each path is entered at its smaller end.
+    visited = [False] * (3 * n)
     new_pairs: list[Pair] = []
-    starts = list(range(n)) + list(range(2 * n, 3 * n))
-    for start in starts:
-        if start in visited:
+    for start in (*range(n), *range(mid_end, 3 * n)):
+        if visited[start]:
             continue
-        visited.add(start)
-        node = start
         layer_up = start < n  # leave a new top through the upper layer
-        while True:
-            node = up_nbr[node] if layer_up else low_nbr[node]
-            visited.add(node)
-            if not is_middle(node):
-                break
+        node = up_nbr[start] if layer_up else low_nbr[start]
+        while n <= node < mid_end:
+            visited[node] = True
             layer_up = not layer_up
-        end = node
-        a = start if start < n else n + (start - 2 * n)
-        b = end if end < n else n + (end - 2 * n)
-        new_pairs.append((a, b))
+            node = up_nbr[node] if layer_up else low_nbr[node]
+        visited[node] = True
+        new_pairs.append((start if start < n else start - n, node if node < n else node - n))
 
+    # What is left of the middle layer are closed loops.  Each is walked
+    # from one node, an upper edge then a lower edge at a time, until the
+    # walk is back where it began.
     loops = 0
-    for m in range(n, 2 * n):
-        if m in visited:
+    for m in range(n, mid_end):
+        if visited[m]:
             continue
         loops += 1
-        node, layer_up = m, True
-        while True:
-            visited.add(node)
-            node = up_nbr[node] if layer_up else low_nbr[node]
-            layer_up = not layer_up
-            if node == m and layer_up:
-                break
-    return Matching(n, new_pairs), loops
+        node = m
+        while not visited[node]:
+            visited[node] = True
+            node = up_nbr[node]
+            visited[node] = True
+            node = low_nbr[node]
+    return Matching._trusted(n, new_pairs), loops
 
 
 def closure_loops(m: Matching) -> int:

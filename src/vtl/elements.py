@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .diagrams import Matching, closure_loops, compose, e_diagram, identity_diagram, v_diagram
 from .errors import StrandMismatchError
-from .scalars import QuadScalar, as_scalar
+from .scalars import ONE, ZERO, QuadScalar, as_scalar
 
 
 class AlgebraElement:
@@ -35,14 +35,14 @@ class AlgebraElement:
         return cls(n, {})
 
     @classmethod
-    def from_matching(cls, m: Matching, coeff=1) -> AlgebraElement:
+    def from_matching(cls, m: Matching, coeff=ONE) -> AlgebraElement:
         return cls(m.n, {m: as_scalar(coeff)})
 
     def terms(self) -> list[tuple[Matching, QuadScalar]]:
         return list(self._terms.items())
 
     def coeff(self, m: Matching) -> QuadScalar:
-        return self._terms.get(m, QuadScalar(0))
+        return self._terms.get(m, ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -84,7 +84,8 @@ def element_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         raise StrandMismatchError(f"cannot add elements on n={x.n} and n={y.n}")
     terms = dict(x._terms)
     for m, c in y._terms.items():
-        terms[m] = terms.get(m, QuadScalar(0)) + c
+        prev = terms.get(m)
+        terms[m] = c if prev is None else prev + c
     return AlgebraElement(x.n, terms)
 
 
@@ -106,19 +107,25 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
     if x.n != y.n:
         raise StrandMismatchError(f"cannot multiply elements on n={x.n} and n={y.n}")
     lam = as_scalar(lam)
+    lam_pow = [ONE]  # lam_pow[k] = lam**k, grown as more loops close
     terms: dict[Matching, QuadScalar] = {}
     for mx, cx in x._terms.items():
         for my, cy in y._terms.items():
             glued, loops = compose(mx, my)
-            weight = cx * cy * lam**loops
-            terms[glued] = terms.get(glued, QuadScalar(0)) + weight
+            weight = cx * cy
+            if loops:
+                while len(lam_pow) <= loops:
+                    lam_pow.append(lam_pow[-1] * lam)
+                weight = weight * lam_pow[loops]
+            prev = terms.get(glued)
+            terms[glued] = weight if prev is None else prev + weight
     return AlgebraElement(x.n, terms)
 
 
 def closure_trace(x: AlgebraElement, lam) -> QuadScalar:
     """Markov trace: close each diagram up and weight by lambda^loops."""
     lam = as_scalar(lam)
-    total = QuadScalar(0)
+    total = ZERO
     for m, c in x._terms.items():
         total = total + c * lam ** closure_loops(m)
     return total

@@ -22,7 +22,7 @@ from .errors import NonInvertibleError
 from .expressions import Expr
 from .linalg import DenseMatrix, invert
 from .rho import RhoParams
-from .scalars import QuadScalar, as_scalar
+from .scalars import as_scalar
 from .words import E, RHO, RHO_INV, V, GeneratorSymbol, GeneratorWord
 
 
@@ -34,18 +34,21 @@ class DiagramRep:
     def __init__(self, n: int, lam):
         self.n = n
         self.lam = as_scalar(lam)
+        self._one = identity_element(n)
+        self._e = {i: e_element(i, n) for i in range(1, n)}
+        self._v = {i: v_element(i, n) for i in range(1, n)}
 
     def one(self) -> AlgebraElement:
-        return identity_element(self.n)
+        return self._one
 
     def zero(self) -> AlgebraElement:
         return AlgebraElement.zero(self.n)
 
     def e(self, i: int) -> AlgebraElement:
-        return e_element(i, self.n)
+        return self._e[i]
 
     def v(self, i: int) -> AlgebraElement:
-        return v_element(i, self.n)
+        return self._v[i]
 
     def mul(self, x, y):
         return element_multiply(x, y, self.lam)
@@ -153,17 +156,18 @@ def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None
     return inv
 
 
-def evaluate_word(word: GeneratorWord, rep: Rep, params: RhoParams | None = None):
-    if word.n != rep.n:
-        raise ValueError(f"word on n={word.n} evaluated in rep on n={rep.n}")
-    out = rep.one()
-    for sym in word.symbols:
-        out = rep.mul(out, symbol_image(rep, sym, params))
-    return out
+def evaluate_word(word, rep: Rep, params: RhoParams | None = None):
+    """Product of the images of a word's symbols, left to right.
 
-def evaluate_symbols(symbols, rep: Rep, params: RhoParams | None = None):
+    `word` is a GeneratorWord, whose strand count must match the rep's, or a
+    bare sequence of symbols such as the words inside an Expr.
+    """
+    if isinstance(word, GeneratorWord):
+        if word.n != rep.n:
+            raise ValueError(f"word on n={word.n} evaluated in rep on n={rep.n}")
+        word = word.symbols
     out = rep.one()
-    for sym in symbols:
+    for sym in word:
         out = rep.mul(out, symbol_image(rep, sym, params))
     return out
 
@@ -171,10 +175,6 @@ def evaluate_symbols(symbols, rep: Rep, params: RhoParams | None = None):
 def evaluate_expr(expr: Expr, rep: Rep, params: RhoParams | None = None):
     total = rep.zero()
     for word, coeff in expr.terms.items():
-        value = evaluate_symbols(word, rep, params)
+        value = evaluate_word(word, rep, params)
         total = rep.add(total, rep.scale(coeff, value))
     return total
-
-
-def scalar_to_identity(rep: Rep, s: QuadScalar):
-    return rep.scale(s, rep.one())

@@ -4,6 +4,11 @@ A scalar is x + y*sqrt(D) with x, y, D rational.  D is fixed per value; values
 with y = 0 are plain rationals and combine with any D.  If D is the square of
 a rational the root is folded into the rational part on construction, so a
 stored D is always a non-square and (x, y, D) triples compare componentwise.
+
+The public constructor checks and normalises its input.  Arithmetic builds its
+results through the trusted `QuadScalar._make`, which relies on the operands
+already being normalised: rational parts are Fractions and a stored D is a
+non-square or 0, so only a cancelled irrational part needs fixing up.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from typing import Union
 from .errors import FieldMismatchError
 
 RationalLike = Union[int, Fraction]
+
+_F0 = Fraction(0)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -44,6 +51,24 @@ class QuadScalar:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "D", D)
+
+    @staticmethod
+    def _make(x: Fraction, y: Fraction, D: Fraction) -> QuadScalar:
+        """Trusted constructor for arithmetic results.
+
+        x and y must be Fractions and D a stored discriminant (a non-square,
+        or 0), so the re-wrap and the square-root test are skipped; a y that
+        cancelled to 0 still resets D to 0.
+        """
+        out = _new(QuadScalar)
+        _set_x(out, x)
+        if y:
+            _set_y(out, y)
+            _set_D(out, D)
+        else:
+            _set_y(out, _F0)
+            _set_D(out, _F0)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuadScalar is immutable")
@@ -86,13 +111,15 @@ class QuadScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.y and not other.y:
+            return _make(self.x + other.x, _F0, _F0)
         D = self._join(other)
-        return QuadScalar(self.x + other.x, self.y + other.y, D)
+        return _make(self.x + other.x, self.y + other.y, D)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadScalar:
-        return QuadScalar(-self.x, -self.y, self.D)
+        return _make(-self.x, -self.y, self.D)
 
     def __sub__(self, other) -> QuadScalar:
         other = self._coerce(other)
@@ -107,17 +134,21 @@ class QuadScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        x, y = self.x, self.y
+        ox, oy = other.x, other.y
+        if not y and not oy:
+            return _make(x * ox, _F0, _F0)
         D = self._join(other)
-        return QuadScalar(
-            self.x * other.x + self.y * other.y * D,
-            self.x * other.y + self.y * other.x,
-            D,
-        )
+        if not y:
+            return _make(x * ox, x * oy, D)
+        if not oy:
+            return _make(x * ox, y * ox, D)
+        return _make(x * ox + y * oy * D, x * oy + y * ox, D)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> QuadScalar:
-        return QuadScalar(self.x, -self.y, self.D)
+        return _make(self.x, -self.y, self.D)
 
     def norm(self) -> Fraction:
         return self.x * self.x - self.y * self.y * self.D
@@ -128,7 +159,7 @@ class QuadScalar:
             raise ZeroDivisionError("inverse of zero scalar")
         n = self.norm()
         # D non-square, so the norm of a nonzero value is nonzero.
-        return QuadScalar(self.x / n, -self.y / n, self.D)
+        return _make(self.x / n, -self.y / n, self.D)
 
     def __truediv__(self, other) -> QuadScalar:
         other = self._coerce(other)
@@ -199,6 +230,15 @@ class QuadScalar:
             "D_num": self.D.numerator,
             "D_den": self.D.denominator,
         }
+
+
+# The slots' own setters: they get past the immutability guard in
+# `__setattr__` at about half the cost of `object.__setattr__`.
+_new = object.__new__
+_set_x = QuadScalar.x.__set__
+_set_y = QuadScalar.y.__set__
+_set_D = QuadScalar.D.__set__
+_make = QuadScalar._make
 
 
 ZERO = QuadScalar(0)

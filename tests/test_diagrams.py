@@ -65,6 +65,21 @@ def compose_oracle(upper, lower):
     return Matching(n, pairs), loops
 
 
+def all_matchings(n):
+    """Every perfect matching of the 2n endpoints, as a Matching."""
+
+    def pairings(points):
+        if not points:
+            yield []
+            return
+        first, rest = points[0], points[1:]
+        for k, partner in enumerate(rest):
+            for tail in pairings(rest[:k] + rest[k + 1 :]):
+                yield [(first, partner)] + tail
+
+    return [Matching(n, pairs) for pairs in pairings(list(range(2 * n)))]
+
+
 def test_identity_is_neutral():
     for n in (1, 2, 4):
         one = identity_diagram(n)
@@ -144,6 +159,19 @@ def test_compose_matches_union_find_oracle():
             x = random_matching(n, rng)
             y = random_matching(n, rng)
             assert compose(x, y) == compose_oracle(x, y)
+
+
+def test_compose_results_pass_validation_for_every_pair():
+    """Products built without re-validation equal the validated matching."""
+    for n, count in ((1, 1), (2, 3), (3, 15), (4, 105)):
+        diagrams = all_matchings(n)
+        assert len(set(diagrams)) == count
+        for x in diagrams:
+            for y in diagrams:
+                glued, loops = compose(x, y)
+                checked = Matching(n, glued.pairs)
+                assert glued == checked and hash(glued) == hash(checked)
+                assert (glued, loops) == compose_oracle(x, y)
 
 
 def test_stacking_is_associative_including_loops():

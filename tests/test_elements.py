@@ -20,13 +20,32 @@ from vtl.elements import (
     v_element,
 )
 from vtl.errors import StrandMismatchError
-from vtl.scalars import QuadScalar
+from vtl.scalars import QuadScalar, as_scalar
 
 
 def test_cupcap_square_scales_by_loop_value():
     e = e_element(1, 3)
     assert element_multiply(e, e, 7) == element_scale(7, e)
     assert element_multiply(e, e, Fraction(5, 2)) == element_scale(Fraction(5, 2), e)
+
+
+@pytest.mark.parametrize(
+    "lam", [0, Fraction(5, 2), 3, QuadScalar(1, 1, 5)], ids=["0", "5/2", "3", "1+sqrt5"]
+)
+def test_products_weight_each_loop_count_by_its_power(lam):
+    n, lam_s = 4, as_scalar(lam)
+    e1 = e_element(1, n)
+    e1e3 = element_multiply(e1, e_element(3, n), lam)  # disjoint sites: no loop
+    assert len(e1e3.terms()) == 1
+    # two loops close in one product
+    square = element_multiply(e1e3, e1e3, lam)
+    assert square == element_scale(lam_s**2, e1e3)
+    # loop counts 2, 1, 1 and 1 in one product, against powers taken directly
+    x = element_add(e1e3, e1)
+    expected = element_add(element_scale(lam_s**2 + 2 * lam_s, e1e3), element_scale(lam_s, e1))
+    assert element_multiply(x, x, lam) == expected
+    assert square.is_zero == (lam == 0)
+    assert element_multiply(x, x, lam).is_zero == (lam == 0)
 
 
 def test_complement_of_cupcap_is_involution_only_at_two():

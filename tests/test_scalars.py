@@ -1,5 +1,6 @@
 """Exact quadratic-field scalar arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,64 @@ NON_SQUARES = [2, 3, 5, -1, Fraction(5, 3), Fraction(-7, 2)]
 
 def scalars_over(D):
     return st.builds(lambda x, y: QuadScalar(x, y, D), rationals, rationals)
+
+
+# one field per pair: rational with rational, or Q(sqrt 5) mixed with rationals
+field_values = st.one_of(scalars_over(5), rationals.map(QuadScalar))
+
+
+def assert_normalised(s):
+    """`s` is stored exactly as the checked constructor would store it."""
+    rebuilt = QuadScalar(s.x, s.y, s.D)
+    assert (s.x, s.y, s.D) == (rebuilt.x, rebuilt.y, rebuilt.D)
+    assert all(type(part) is Fraction for part in (s.x, s.y, s.D))
+    assert hash(s) == hash(rebuilt)
+
+
+@given(field_values, field_values)
+def test_arithmetic_results_match_the_checked_constructor(a, b):
+    D = a.D or b.D
+    assert a + b == QuadScalar(a.x + b.x, a.y + b.y, D)
+    assert a - b == QuadScalar(a.x - b.x, a.y - b.y, D)
+    assert a * b == QuadScalar(a.x * b.x + a.y * b.y * D, a.x * b.y + a.y * b.x, D)
+    results = [a + b, a - b, a * b, -a, a.conjugate()]
+    if not a.is_zero:
+        results.append(a.inv())
+    for result in results:
+        assert_normalised(result)
+
+
+def test_cancelled_root_resets_the_discriminant():
+    a = QuadScalar(1, 2, 5)
+    r = QuadScalar.root(5)
+    for value in (a + QuadScalar(3, -2, 5), a - QuadScalar(-3, 2, 5), r * r, r * -r, a - a):
+        assert_normalised(value)
+        assert value.is_rational and value.y == 0 and value.D == 0
+        assert value == QuadScalar(value.x)
+        assert hash(value) == hash(QuadScalar(value.x))
+    assert r * r == QuadScalar(5)
+    # a cancelled value mixes with another field again
+    assert (r * r) + QuadScalar.root(2) == QuadScalar(5, 1, 2)
+
+
+def test_mixed_discriminants_rejected_through_every_fast_path():
+    r2, r3 = QuadScalar.root(2), QuadScalar(1, 1, 3)
+    two = QuadScalar(2)
+    ops = (operator.add, operator.sub, operator.mul)
+    # a rational operand, given or produced by cancellation, joins either field
+    for q in (two, r2 * r2, r3 - r3):
+        assert q.is_rational
+        for op in ops:
+            assert op(q, r3).D in (0, 3) and op(r3, q).D in (0, 3)
+            assert op(q, r2).D in (0, 2) and op(r2, q).D in (0, 2)
+    # two irrational operands over different fields never combine, also when
+    # each came out of an operation with a rational
+    for a, b in ((r2, r3), (two * r2, r3 + two), (-r2, r3 - 1), (r2 + r2, r3 * r3 * r3)):
+        for op in ops:
+            with pytest.raises(FieldMismatchError):
+                op(a, b)
+            with pytest.raises(FieldMismatchError):
+                op(b, a)
 
 
 def test_square_discriminant_folds_into_rational_part():

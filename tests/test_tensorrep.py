@@ -16,7 +16,7 @@ from vtl.diagrams import (
 from vtl.elements import AlgebraElement, element_add, element_multiply, element_scale
 from vtl.errors import StrandMismatchError
 from vtl.linalg import DenseMatrix
-from vtl.reps import evaluate_symbols
+from vtl.reps import evaluate_word
 from vtl.rho import RhoParams
 from vtl.scalars import QuadScalar
 from vtl.tensorrep import (
@@ -257,7 +257,7 @@ def test_factor_matching_agrees_with_matrix_model():
         from vtl.reps import MatrixRep
 
         rep = rep or MatrixRep(3, 2)
-        via_word = evaluate_symbols(word, rep)
+        via_word = evaluate_word(word, rep)
         assert via_word == matching_matrix(m, config)
 
 
