@@ -8,9 +8,13 @@ produced while gluing two diagrams contributes one factor of lambda.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .diagrams import Matching, closure_loops, compose, e_diagram, identity_diagram, v_diagram
 from .errors import StrandMismatchError
 from .scalars import ONE, ZERO, QuadScalar, as_scalar
+
+_pairs = attrgetter("pairs")
 
 
 class AlgebraElement:
@@ -18,7 +22,8 @@ class AlgebraElement:
 
     def __init__(self, n: int, terms: dict[Matching, QuadScalar] | None = None):
         pruned: dict[Matching, QuadScalar] = {}
-        for m in sorted(terms or {}):
+        # every term shares n once the check passes, so pairs alone order them
+        for m in sorted(terms or {}, key=_pairs):
             if m.n != n:
                 raise StrandMismatchError(f"term on n={m.n} in element on n={n}")
             coeff = terms[m]

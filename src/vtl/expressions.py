@@ -7,7 +7,7 @@ evaluate them later.  Multiplication concatenates words distributively.
 
 from __future__ import annotations
 
-from .scalars import QuadScalar, as_scalar
+from .scalars import ONE, QuadScalar, as_scalar
 from .words import E, RHO, V, GeneratorSymbol
 
 Word = tuple[GeneratorSymbol, ...]
@@ -39,11 +39,11 @@ class Expr:
 
     @classmethod
     def one(cls) -> Expr:
-        return cls({(): as_scalar(1)})
+        return cls({(): ONE})
 
     @classmethod
     def gen(cls, sym: GeneratorSymbol) -> Expr:
-        return cls({(sym,): as_scalar(1)})
+        return cls({(sym,): ONE})
 
     @property
     def is_zero(self) -> bool:
@@ -52,7 +52,8 @@ class Expr:
     def __add__(self, other: Expr) -> Expr:
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, as_scalar(0)) + c
+            prev = terms.get(w)
+            terms[w] = c if prev is None else prev + c
         return Expr(terms)
 
     def __sub__(self, other: Expr) -> Expr:
@@ -70,7 +71,8 @@ class Expr:
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 w = wa + wb
-                terms[w] = terms.get(w, as_scalar(0)) + ca * cb
+                prev = terms.get(w)
+                terms[w] = ca * cb if prev is None else prev + ca * cb
         return Expr(terms)
 
     def __eq__(self, other) -> bool:

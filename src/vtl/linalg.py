@@ -212,20 +212,14 @@ class DenseMatrix:
         D = None
         for _, _, e in self.nonzeros():
             if not e.is_rational:
-                if D is not None and D != e.D:
+                if D is not None and D != [e.Dn, e.Dd]:
                     raise ValueError("mixed discriminants in one matrix")
-                D = e.D
-        if D is None:
-            D = _ZERO.D
-        flat = [
-            [e.x.numerator, e.x.denominator, e.y.numerator, e.y.denominator]
-            for row in self.entries
-            for e in row
-        ]
+                D = [e.Dn, e.Dd]
+        flat = [[e.xn, e.xd, e.yn, e.yd] for row in self.entries for e in row]
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "D": [D.numerator, D.denominator],
+            "D": [0, 1] if D is None else D,
             "entries": flat,
         }
 

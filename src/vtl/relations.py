@@ -418,16 +418,14 @@ class CheckReport:
 
 
 def params_obj(params: RhoParams) -> dict:
-    D = next(
-        (s.D for s in (params.a, params.b, params.c, params.lam) if not s.is_rational),
-        as_scalar(0).D,
-    )
+    values = (params.a, params.b, params.c, params.lam)
+    D = next(([s.Dn, s.Dd] for s in values if not s.is_rational), [0, 1])
     return {
         "a": params.a.to_obj(),
         "b": params.b.to_obj(),
         "c": params.c.to_obj(),
         "lambda": params.lam.to_obj(),
-        "D": [D.numerator, D.denominator],
+        "D": D,
     }
 
 

@@ -156,25 +156,36 @@ def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None
     return inv
 
 
-def evaluate_word(word, rep: Rep, params: RhoParams | None = None):
+def evaluate_word(
+    word, rep: Rep, params: RhoParams | None = None, images: dict | None = None
+):
     """Product of the images of a word's symbols, left to right.
 
     `word` is a GeneratorWord, whose strand count must match the rep's, or a
-    bare sequence of symbols such as the words inside an Expr.
+    bare sequence of symbols such as the words inside an Expr.  Each distinct
+    symbol's image (for `r<k>^-1` an inverse) is built once and kept in
+    `images`, a symbol -> image dict that callers may share between words
+    evaluated in the same rep at the same params.
     """
     if isinstance(word, GeneratorWord):
         if word.n != rep.n:
             raise ValueError(f"word on n={word.n} evaluated in rep on n={rep.n}")
         word = word.symbols
-    out = rep.one()
+    if images is None:
+        images = {}
+    out = None
     for sym in word:
-        out = rep.mul(out, symbol_image(rep, sym, params))
-    return out
+        image = images.get(sym)
+        if image is None:
+            image = images[sym] = symbol_image(rep, sym, params)
+        out = image if out is None else rep.mul(out, image)
+    return rep.one() if out is None else out
 
 
 def evaluate_expr(expr: Expr, rep: Rep, params: RhoParams | None = None):
     total = rep.zero()
+    images = {}
     for word, coeff in expr.terms.items():
-        value = evaluate_word(word, rep, params)
+        value = evaluate_word(word, rep, params, images)
         total = rep.add(total, rep.scale(coeff, value))
     return total

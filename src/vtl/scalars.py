@@ -5,10 +5,15 @@ with y = 0 are plain rationals and combine with any D.  If D is the square of
 a rational the root is folded into the rational part on construction, so a
 stored D is always a non-square and (x, y, D) triples compare componentwise.
 
+Each rational part is stored as a reduced pair of ints (numerator, and a
+positive denominator; zero is 0/1), so arithmetic runs on ints and `math.gcd`
+alone, with the reductions of CPython's `Fraction._add` and `Fraction._mul`.
+`.x`, `.y` and `.D` read back as Fractions.
+
 The public constructor checks and normalises its input.  Arithmetic builds its
-results through the trusted `QuadScalar._make`, which relies on the operands
-already being normalised: rational parts are Fractions and a stored D is a
-non-square or 0, so only a cancelled irrational part needs fixing up.
+results through the trusted `_make`, which relies on the operands already
+being normalised: every pair is reduced and a stored D is a non-square or 0,
+so only a cancelled irrational part needs fixing up.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import FieldMismatchError
 
 RationalLike = Union[int, Fraction]
 
-_F0 = Fraction(0)
+_gcd = math.gcd
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -35,40 +40,53 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-class QuadScalar:
-    __slots__ = ("x", "y", "D")
+def _qadd(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """na/da + nb/db, reduced; the operands must be reduced."""
+    if da == db:
+        if da == 1:
+            return na + nb, 1
+        t = na + nb
+        g = _gcd(t, da)
+        return (t, da) if g == 1 else (t // g, da // g)
+    g = _gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
 
-    def __init__(self, x: RationalLike, y: RationalLike = 0, D: RationalLike = 0):
+
+def _qmul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """(na/da) * (nb/db), reduced; the operands must be reduced."""
+    if da == 1 and db == 1:
+        return na * nb, 1
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+class QuadScalar:
+    __slots__ = ("xn", "xd", "yn", "yd", "Dn", "Dd")
+
+    def __new__(cls, x: RationalLike, y: RationalLike = 0, D: RationalLike = 0):
         x = Fraction(x)
         y = Fraction(y)
         D = Fraction(D)
         if y:
             root = rational_sqrt(D)
             if root is not None:
-                x, y, D = x + y * root, Fraction(0), Fraction(0)
-        else:
-            D = Fraction(0)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "D", D)
-
-    @staticmethod
-    def _make(x: Fraction, y: Fraction, D: Fraction) -> QuadScalar:
-        """Trusted constructor for arithmetic results.
-
-        x and y must be Fractions and D a stored discriminant (a non-square,
-        or 0), so the re-wrap and the square-root test are skipped; a y that
-        cancelled to 0 still resets D to 0.
-        """
-        out = _new(QuadScalar)
-        _set_x(out, x)
-        if y:
-            _set_y(out, y)
-            _set_D(out, D)
-        else:
-            _set_y(out, _F0)
-            _set_D(out, _F0)
-        return out
+                x, y = x + y * root, Fraction(0)
+        return _make(x.numerator, x.denominator, y.numerator, y.denominator,
+                     D.numerator, D.denominator)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuadScalar is immutable")
@@ -83,18 +101,31 @@ class QuadScalar:
         return cls(0, 1, D)
 
     @property
+    def x(self) -> Fraction:
+        return Fraction(self.xn, self.xd)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.yn, self.yd)
+
+    @property
+    def D(self) -> Fraction:
+        return Fraction(self.Dn, self.Dd)
+
+    @property
     def is_rational(self) -> bool:
-        return self.y == 0
+        return not self.yn
 
     @property
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return not self.xn and not self.yn
 
-    def _join(self, other: QuadScalar) -> Fraction:
-        if self.y == 0:
-            return other.D
-        if other.y == 0 or self.D == other.D:
-            return self.D
+    def _join(self, other: QuadScalar) -> tuple[int, int]:
+        """The (numerator, denominator) of the discriminant both share."""
+        if not self.yn:
+            return other.Dn, other.Dd
+        if not other.yn or (self.Dn == other.Dn and self.Dd == other.Dd):
+            return self.Dn, self.Dd
         raise FieldMismatchError(
             f"cannot combine scalars over sqrt({self.D}) and sqrt({other.D})"
         )
@@ -108,18 +139,21 @@ class QuadScalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> QuadScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.y and not other.y:
-            return _make(self.x + other.x, _F0, _F0)
-        D = self._join(other)
-        return _make(self.x + other.x, self.y + other.y, D)
+        if other.__class__ is not QuadScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        xn, xd = _qadd(self.xn, self.xd, other.xn, other.xd)
+        if not self.yn and not other.yn:
+            return _make(xn, xd, 0, 1, 0, 1)
+        Dn, Dd = self._join(other)
+        yn, yd = _qadd(self.yn, self.yd, other.yn, other.yd)
+        return _make(xn, xd, yn, yd, Dn, Dd)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadScalar:
-        return _make(-self.x, -self.y, self.D)
+        return _make(-self.xn, self.xd, -self.yn, self.yd, self.Dn, self.Dd)
 
     def __sub__(self, other) -> QuadScalar:
         other = self._coerce(other)
@@ -131,27 +165,37 @@ class QuadScalar:
         return -(self - other)
 
     def __mul__(self, other) -> QuadScalar:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        x, y = self.x, self.y
-        ox, oy = other.x, other.y
-        if not y and not oy:
-            return _make(x * ox, _F0, _F0)
-        D = self._join(other)
-        if not y:
-            return _make(x * ox, x * oy, D)
-        if not oy:
-            return _make(x * ox, y * ox, D)
-        return _make(x * ox + y * oy * D, x * oy + y * ox, D)
+        if other.__class__ is not QuadScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        xn, xd, yn, yd = self.xn, self.xd, self.yn, self.yd
+        oxn, oxd, oyn, oyd = other.xn, other.xd, other.yn, other.yd
+        rn, rd = _qmul(xn, xd, oxn, oxd)
+        if not yn and not oyn:
+            return _make(rn, rd, 0, 1, 0, 1)
+        Dn, Dd = self._join(other)
+        if not yn:
+            sn, sd = _qmul(xn, xd, oyn, oyd)
+        elif not oyn:
+            sn, sd = _qmul(yn, yd, oxn, oxd)
+        else:
+            pn, pd = _qmul(yn, yd, oyn, oyd)
+            pn, pd = _qmul(pn, pd, Dn, Dd)
+            rn, rd = _qadd(rn, rd, pn, pd)
+            sn, sd = _qmul(xn, xd, oyn, oyd)
+            tn, td = _qmul(yn, yd, oxn, oxd)
+            sn, sd = _qadd(sn, sd, tn, td)
+        return _make(rn, rd, sn, sd, Dn, Dd)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> QuadScalar:
-        return _make(self.x, -self.y, self.D)
+        return _make(self.xn, self.xd, -self.yn, self.yd, self.Dn, self.Dd)
 
     def norm(self) -> Fraction:
-        return self.x * self.x - self.y * self.y * self.D
+        x, y = self.x, self.y
+        return x * x - y * y * self.D
 
     def inv(self) -> QuadScalar:
         """Multiplicative inverse via the field norm."""
@@ -159,7 +203,9 @@ class QuadScalar:
             raise ZeroDivisionError("inverse of zero scalar")
         n = self.norm()
         # D non-square, so the norm of a nonzero value is nonzero.
-        return _make(self.x / n, -self.y / n, self.D)
+        x, y = self.x / n, -self.y / n
+        return _make(x.numerator, x.denominator, y.numerator, y.denominator,
+                     self.Dn, self.Dd)
 
     def __truediv__(self, other) -> QuadScalar:
         other = self._coerce(other)
@@ -175,7 +221,7 @@ class QuadScalar:
             return NotImplemented
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = QuadScalar(1)
+        result = ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -185,36 +231,47 @@ class QuadScalar:
         return result
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.D == other.D
+        if other.__class__ is not QuadScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (
+            self.xn == other.xn
+            and self.xd == other.xd
+            and self.yn == other.yn
+            and self.yd == other.yd
+            and self.Dn == other.Dn
+            and self.Dd == other.Dd
+        )
 
     def __hash__(self):
-        return hash((self.x, self.y, self.D))
+        return hash((self.xn, self.xd, self.yn, self.yd, self.Dn, self.Dd))
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def approx(self) -> complex:
         """Float approximation; complex when D < 0."""
-        if self.D >= 0:
-            return complex(float(self.x) + float(self.y) * math.sqrt(float(self.D)))
-        return complex(float(self.x), float(self.y) * math.sqrt(-float(self.D)))
+        # int / int rounds exactly as float(Fraction) does
+        x, y, D = self.xn / self.xd, self.yn / self.yd, self.Dn / self.Dd
+        if D >= 0:
+            return complex(x + y * math.sqrt(D))
+        return complex(x, y * math.sqrt(-D))
 
     def __str__(self) -> str:
-        if self.y == 0:
+        if not self.yn:
             return str(self.x)
+        y = self.y
         root = f"sqrt({self.D})"
-        if self.y == 1:
+        if y == 1:
             tail = root
-        elif self.y == -1:
+        elif y == -1:
             tail = f"-{root}"
         else:
-            tail = f"{self.y}*{root}"
-        if self.x == 0:
+            tail = f"{y}*{root}"
+        if not self.xn:
             return tail
-        sign = "+" if self.y > 0 else "-"
+        sign = "+" if y > 0 else "-"
         mag = tail.lstrip("-")
         return f"{self.x} {sign} {mag}"
 
@@ -223,22 +280,47 @@ class QuadScalar:
 
     def to_obj(self) -> dict:
         return {
-            "x_num": self.x.numerator,
-            "x_den": self.x.denominator,
-            "y_num": self.y.numerator,
-            "y_den": self.y.denominator,
-            "D_num": self.D.numerator,
-            "D_den": self.D.denominator,
+            "x_num": self.xn,
+            "x_den": self.xd,
+            "y_num": self.yn,
+            "y_den": self.yd,
+            "D_num": self.Dn,
+            "D_den": self.Dd,
         }
 
 
 # The slots' own setters: they get past the immutability guard in
 # `__setattr__` at about half the cost of `object.__setattr__`.
 _new = object.__new__
-_set_x = QuadScalar.x.__set__
-_set_y = QuadScalar.y.__set__
-_set_D = QuadScalar.D.__set__
-_make = QuadScalar._make
+_set_xn = QuadScalar.xn.__set__
+_set_xd = QuadScalar.xd.__set__
+_set_yn = QuadScalar.yn.__set__
+_set_yd = QuadScalar.yd.__set__
+_set_Dn = QuadScalar.Dn.__set__
+_set_Dd = QuadScalar.Dd.__set__
+
+
+def _make(xn: int, xd: int, yn: int, yd: int, Dn: int, Dd: int) -> QuadScalar:
+    """Trusted constructor: `QuadScalar(...)` after its checks, and arithmetic.
+
+    Every (numerator, denominator) pair must be reduced with a positive
+    denominator and (Dn, Dd) a stored discriminant (a non-square, or 0/1);
+    nothing is checked.  A y that cancelled to 0 still resets D to 0.
+    """
+    out = _new(QuadScalar)
+    _set_xn(out, xn)
+    _set_xd(out, xd)
+    if yn:
+        _set_yn(out, yn)
+        _set_yd(out, yd)
+        _set_Dn(out, Dn)
+        _set_Dd(out, Dd)
+    else:
+        _set_yn(out, 0)
+        _set_yd(out, 1)
+        _set_Dn(out, 0)
+        _set_Dd(out, 1)
+    return out
 
 
 ZERO = QuadScalar(0)

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -166,3 +167,49 @@ def test_oversized_tensor_space_exits_two(capsys):
         assert code == 2
         assert out == ""
         assert "exceeds the cap" in err
+
+
+# sha256 of the JSON stdout, computed with rational parts stored as Fractions;
+# the scalar storage may change, these bytes may not
+GOLDEN = [
+    (
+        ("eval", "--word", "r1 r2^-1 e1 r1^-1 v2", "--n", "3", "--lambda", "3",
+         "--c", "1/2"),
+        "b6a63ec8209b3be9c2408baed9f09f57a325040394cee58b7fd6e040fc4964f4",
+    ),
+    (
+        ("eval", "--rep", "matrix", "--n", "3", "--dim", "3", "--word",
+         "r1 r2^-1 e1 r1^-1 v2", "--c", "1/2"),
+        "d2c0d109ec6de7621a4b33542c6956f5fbcc641264fa28c8b06176ae78becee9",
+    ),
+    (
+        ("eval", "--word", "r1 r2^-1 r1", "--n", "3", "--lambda", "7/2",
+         "--c", "1/2"),
+        "5e81566aeb6bc3be91336dcac5b1aca2bdf6cf79e0d72a2e96fca5f1aa3c4e1f",
+    ),
+    (
+        ("verify", "--n", "4", "--lambda", "3", "--c", "1"),
+        "68914a6e96ad2020c462edaf7f1ef42dcb334db6566de954187393127d89c466",
+    ),
+    (
+        ("verify", "--n", "4", "--lambda", "5/2", "--b", "2", "--c", "3"),
+        "56cedc817f31129d8b80237e863cd26528f0cdb5a618d382a2af03b6c6e359de",
+    ),
+    (
+        ("verify", "--algebra", "utl", "--rep", "matrix", "--n", "3", "--dim",
+         "2", "--a", "1", "--b", "-1", "--c", "1"),
+        "9117b4b0bbd9e22e897573f24d3f08ab94ec9af3f74a1df6b7e9e4cba8205cbd",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN,
+    ids=["eval-diagram", "eval-matrix", "eval-diagram-D=33/4", "verify-sqrt5",
+         "verify-rational", "verify-matrix"],
+)
+def test_json_output_matches_pinned_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

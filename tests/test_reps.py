@@ -6,7 +6,7 @@ import pytest
 
 from vtl.elements import element_multiply, identity_element
 from vtl.errors import NonInvertibleError
-from vtl.expressions import e_star, gen_e, gen_rho, gen_v
+from vtl.expressions import Expr, e_star, gen_e, gen_rho, gen_v
 from vtl.reps import (
     DiagramRep,
     MatrixRep,
@@ -17,7 +17,7 @@ from vtl.reps import (
 )
 from vtl.rho import RhoParams, rho_element, solve_ab
 from vtl.tensorrep import pstar_complement
-from vtl.words import GeneratorSymbol, parse_word
+from vtl.words import RHO_INV, GeneratorSymbol, parse_word
 
 
 def test_generators_match_underlying_constructors():
@@ -103,3 +103,40 @@ def test_witness_points_at_a_nonzero_piece():
     # the first nonzero in row-major order: e_1 - 1 vanishes at (0, 0)
     assert (mw["row"], mw["col"]) == (0, 3)
     assert m.witness(m.zero()) is None
+
+
+@pytest.mark.parametrize("rep", [DiagramRep(3, Fraction(5, 2)), MatrixRep(3, 2)])
+def test_empty_word_evaluates_to_the_identity(rep):
+    assert evaluate_word(parse_word("", 3), rep) == rep.one()
+    assert evaluate_word((), rep) == rep.one()
+
+
+@pytest.mark.parametrize(
+    "rep, lam", [(DiagramRep(3, Fraction(5, 2)), Fraction(5, 2)), (MatrixRep(3, 3), 3)]
+)
+def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
+    p = RhoParams.make(1, solve_ab(lam)[0], Fraction(1, 2), lam)
+
+    def rebuilt(symbols):
+        """The product with every symbol's image rebuilt where it occurs."""
+        out = rep.one()
+        for sym in symbols:
+            out = rep.mul(out, symbol_image(rep, sym, p))
+        return out
+
+    word = parse_word("r1^-1 r2 r1^-1 r2^-1", 3)
+    expected = rebuilt(word.symbols)
+    calls = []
+    invert = rep.invert
+    monkeypatch.setattr(rep, "invert", lambda x: calls.append(x) or invert(x))
+    assert evaluate_word(word, rep, p) == expected
+    assert len(calls) == 2  # r1^-1 and r2^-1
+    # the words of one expression share a table
+    inv1 = Expr.gen(GeneratorSymbol(RHO_INV, 1))
+    expr = inv1 * gen_e(2) * inv1 + (gen_rho(2) * inv1).scale(3)
+    expected = rep.zero()
+    for w, c in expr.terms.items():
+        expected = rep.add(expected, rep.scale(c, rebuilt(w)))
+    calls.clear()
+    assert evaluate_expr(expr, rep, p) == expected
+    assert len(calls) == 1

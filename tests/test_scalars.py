@@ -1,5 +1,6 @@
 """Exact quadratic-field scalar arithmetic."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -42,6 +43,86 @@ def test_arithmetic_results_match_the_checked_constructor(a, b):
         results.append(a.inv())
     for result in results:
         assert_normalised(result)
+
+
+big_ints = st.integers(min_value=-(10**30), max_value=10**30)
+# zeros, large and negative numerators and denominators, and small fractions
+wide_rationals = st.one_of(
+    st.just(Fraction(0)),
+    big_ints.map(Fraction),
+    st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=10**30)),
+    rationals,
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two (x, y) pairs over one field D; y = 0 for rationals (D = 0)."""
+    D = draw(st.sampled_from([Fraction(0), Fraction(5), Fraction(33, 4)]))
+
+    def part():
+        y = draw(wide_rationals) if D and draw(st.booleans()) else Fraction(0)
+        return draw(wide_rationals), y
+
+    return D, part(), part()
+
+
+def assert_reduced(s):
+    """Stored ints: gcd 1, positive denominator, zero as 0/1."""
+    for num, den in ((s.xn, s.xd), (s.yn, s.yd), (s.Dn, s.Dd)):
+        assert type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1
+        if num == 0:
+            assert den == 1
+
+
+def assert_is(s, x, y, D):
+    """`s` is x + y sqrt(D), componentwise, stored reduced; to_obj agrees."""
+    D = D if y else Fraction(0)
+    assert (s.x, s.y, s.D) == (x, y, D)
+    assert_reduced(s)
+    assert s.to_obj() == {
+        "x_num": x.numerator, "x_den": x.denominator,
+        "y_num": y.numerator, "y_den": y.denominator,
+        "D_num": D.numerator, "D_den": D.denominator,
+    }
+
+
+@given(operand_pairs())
+def test_integer_arithmetic_agrees_with_fraction_reference(case):
+    D, (ax, ay), (bx, by) = case
+    a, b = QuadScalar(ax, ay, D), QuadScalar(bx, by, D)
+    assert_is(a, ax, ay, D)
+    assert_is(a + b, ax + bx, ay + by, D)
+    assert_is(a - b, ax - bx, ay - by, D)
+    assert_is(a * b, ax * bx + ay * by * D, ax * by + ay * bx, D)
+    assert_is(-a, -ax, -ay, D)
+    assert_is(a.conjugate(), ax, -ay, D)
+    norm = ax * ax - ay * ay * D
+    if norm:
+        assert_is(a.inv(), ax / norm, -ay / norm, D)
+    else:
+        assert a.is_zero
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    half = QuadScalar(Fraction(1, 2))
+    r5 = QuadScalar.root(5)
+    same = [
+        (QuadScalar(Fraction(2, 4)), half),
+        (QuadScalar(1) / 2, half),
+        (QuadScalar(Fraction(1, 4)) + Fraction(1, 4), half),
+        (QuadScalar(Fraction(3, 2)) * Fraction(1, 3), half),
+        (QuadScalar(1, 2, Fraction(9, 4)), QuadScalar(4)),
+        (r5 * r5 - 5, QuadScalar(0)),
+        (QuadScalar(0, Fraction(2, 4), 5), r5 * half),
+        (QuadScalar(1, 1, Fraction(20, 4)), r5 + 1),
+        (QuadScalar(0, 1, Fraction(33, 4)) * 2, QuadScalar(0, 2, Fraction(66, 8))),
+    ]
+    for built, plain in same:
+        assert built == plain
+        assert hash(built) == hash(plain)
+        assert_reduced(built)
 
 
 def test_cancelled_root_resets_the_discriminant():
@@ -206,3 +287,5 @@ def test_immutability():
     s = QuadScalar(1)
     with pytest.raises(AttributeError):
         s.x = Fraction(2)
+    with pytest.raises(AttributeError):
+        s.xn = 2
