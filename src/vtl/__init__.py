@@ -53,7 +53,7 @@ from .relations import (
     relation_instances,
 )
 from .reps import DiagramRep, MatrixRep, evaluate_expr, evaluate_word, rho_image
-from .rho import RhoParams, rho_element, solve_ab
+from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
 from .tensorrep import (
     RepConfig,
@@ -126,7 +126,6 @@ __all__ = [
     "relation_instances",
     "render_word",
     "rep_element",
-    "rho_element",
     "rho_image",
     "run_verify",
     "site_embed",

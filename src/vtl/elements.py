@@ -17,6 +17,10 @@ from .scalars import ONE, ZERO, QuadScalar, as_scalar
 _pairs = attrgetter("pairs")
 
 
+def _term_pairs(term: tuple[Matching, QuadScalar]):
+    return term[0].pairs
+
+
 class AlgebraElement:
     __slots__ = ("n", "_terms")
 
@@ -31,6 +35,15 @@ class AlgebraElement:
                 pruned[m] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", pruned)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Matching, QuadScalar]) -> AlgebraElement:
+        """Sort and prune terms already known to lie on n strands; no strand check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        items = sorted(terms.items(), key=_term_pairs)
+        object.__setattr__(out, "_terms", {m: c for m, c in items if not c.is_zero})
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("AlgebraElement is immutable")
@@ -91,12 +104,12 @@ def element_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     for m, c in y._terms.items():
         prev = terms.get(m)
         terms[m] = c if prev is None else prev + c
-    return AlgebraElement(x.n, terms)
+    return AlgebraElement._trusted(x.n, terms)
 
 
 def element_scale(s, x: AlgebraElement) -> AlgebraElement:
     s = as_scalar(s)
-    return AlgebraElement(x.n, {m: s * c for m, c in x._terms.items()})
+    return AlgebraElement._trusted(x.n, {m: s * c for m, c in x._terms.items()})
 
 
 def element_neg(x: AlgebraElement) -> AlgebraElement:
@@ -124,7 +137,7 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
                 weight = weight * lam_pow[loops]
             prev = terms.get(glued)
             terms[glued] = weight if prev is None else prev + weight
-    return AlgebraElement(x.n, terms)
+    return AlgebraElement._trusted(x.n, terms)
 
 
 def closure_trace(x: AlgebraElement, lam) -> QuadScalar:

@@ -23,12 +23,10 @@ class Expr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Word, QuadScalar] | None = None):
-        pruned = {
-            w: c
-            for w, c in sorted((terms or {}).items(), key=lambda kv: _word_key(kv[0]))
-            if not c.is_zero
-        }
-        object.__setattr__(self, "terms", pruned)
+        items = (terms or {}).items()
+        if len(items) > 1:
+            items = sorted(items, key=lambda kv: _word_key(kv[0]))
+        object.__setattr__(self, "terms", {w: c for w, c in items if not c.is_zero})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Expr is immutable")

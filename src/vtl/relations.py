@@ -32,6 +32,7 @@ from .expressions import Expr, e_star, gen_e, gen_rho, gen_v
 from .reps import Rep, evaluate_expr
 from .rho import RhoParams
 from .scalars import QuadScalar, as_scalar
+from .words import GeneratorSymbol
 
 
 @dataclass(frozen=True)
@@ -389,6 +390,70 @@ def relation_instances(
     if spec.needs_params:
         _need_params(family, params)
     return spec.builder(n, params)
+
+
+def _relabelled_key(expr: Expr, pos: dict[int, int]) -> tuple:
+    return tuple(
+        (tuple((s.kind, pos[s.index]) for s in word), coeff)
+        for word, coeff in expr.terms.items()
+    )
+
+
+def localize(instance: RelationInstance) -> tuple[tuple[int, ...], tuple]:
+    """Support strands of an instance, and its memo key on those strands.
+
+    A generator at site i acts on strands i and i+1 only, so lhs, rhs and
+    every group live on the support: the sorted union of {i, i+1} over the
+    sites they use.  Adding identity strands elsewhere is an injective
+    algebra map (X -> X (x) I in the tensor model), so a residual vanishes
+    at n exactly when it vanishes on the support, with the same terms and
+    group verdicts.  The key is the family, the support size k and the
+    lhs/rhs/group terms with site i relabelled to pos[i] in 1..k (the map
+    is monotone); instances with equal keys have equal local residuals.
+    """
+    exprs = [instance.lhs, instance.rhs] + [g.expr for g in instance.groups]
+    sites = {s.index for expr in exprs for word in expr.terms for s in word}
+    strands = tuple(sorted(sites | {i + 1 for i in sites}))
+    pos = {strand: p for p, strand in enumerate(strands, start=1)}
+    key = (
+        instance.family,
+        len(strands),
+        _relabelled_key(instance.lhs, pos),
+        _relabelled_key(instance.rhs, pos),
+        tuple(
+            (g.name, g.coeff, _relabelled_key(g.expr, pos))
+            for g in instance.groups
+        ),
+    )
+    return strands, key
+
+
+def local_instance(
+    instance: RelationInstance, strands: tuple[int, ...]
+) -> RelationInstance:
+    """The instance relabelled onto strands 1..k of its support `strands`.
+
+    The variant keeps its name; only the sites move.
+    """
+    pos = {strand: p for p, strand in enumerate(strands, start=1)}
+
+    def move(expr: Expr) -> Expr:
+        return Expr(
+            {
+                tuple(GeneratorSymbol(s.kind, pos[s.index]) for s in word): coeff
+                for word, coeff in expr.terms.items()
+            }
+        )
+
+    return RelationInstance(
+        instance.family,
+        len(strands),
+        pos[instance.site],
+        instance.variant,
+        move(instance.lhs),
+        move(instance.rhs),
+        tuple(Group(g.name, g.coeff, move(g.expr)) for g in instance.groups),
+    )
 
 
 @dataclass(frozen=True)

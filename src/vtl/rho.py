@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import AlgebraElement, e_element, element_add, element_scale, identity_element, v_element
 from .scalars import QuadScalar, as_scalar
 
 
@@ -43,13 +42,3 @@ def solve_ab(lam) -> tuple[QuadScalar, QuadScalar]:
     half_lam = QuadScalar(Fraction(-1, 2)) * lam
     return half_lam + root, half_lam - root
 
-
-def rho_element(i: int, n: int, params: RhoParams) -> AlgebraElement:
-    """Image of rho_i in the diagram algebra."""
-    return element_add(
-        element_add(
-            element_scale(params.a, identity_element(n)),
-            element_scale(params.b, e_element(i, n)),
-        ),
-        element_scale(params.c, v_element(i, n)),
-    )

@@ -200,6 +200,28 @@ GOLDEN = [
          "2", "--a", "1", "--b", "-1", "--c", "1"),
         "9117b4b0bbd9e22e897573f24d3f08ab94ec9af3f74a1df6b7e9e4cba8205cbd",
     ),
+    # sizes where most instances act on fewer strands than n, and negative
+    # controls print residual norms counted at full size
+    (
+        ("verify", "--algebra", "utl", "--n", "6", "--lambda", "2", "--a", "1",
+         "--b", "-1", "--c", "1"),
+        "30c58e2eb089c8d14ea86982779894570f1a4118de42c99c128ca6ad46605066",
+    ),
+    (
+        ("verify", "--algebra", "utl", "--rep", "matrix", "--n", "4", "--dim",
+         "2", "--a", "1", "--b", "-1", "--c", "1"),
+        "7c49c5d8197d09fc2e3bea70bcb60048bfafaeb43db21cb7c08a690b6e07b5c3",
+    ),
+    (
+        ("verify", "--algebra", "utl", "--rep", "matrix", "--n", "4", "--dim",
+         "3", "--a", "1", "--b", "-1", "--c", "1"),
+        "88b7fd0b5eb77d82c00b2f1376b5941522e4919caadcc10c56c2c1bcfa725c9a",
+    ),
+    (
+        ("verify", "--algebra", "wtl", "--n", "5", "--lambda", "5/2", "--b", "2",
+         "--c", "3"),
+        "55f6b42205f6ede1c801b25c49e9f9ac93aff2ff1dfda52b376905a7f01b71b6",
+    ),
 ]
 
 
@@ -207,7 +229,8 @@ GOLDEN = [
     "argv, digest",
     GOLDEN,
     ids=["eval-diagram", "eval-matrix", "eval-diagram-D=33/4", "verify-sqrt5",
-         "verify-rational", "verify-matrix"],
+         "verify-rational", "verify-matrix", "verify-utl-n6", "verify-matrix-4-2",
+         "verify-matrix-4-3", "verify-wtl-n5"],
 )
 def test_json_output_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

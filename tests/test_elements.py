@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtl.diagrams import random_matching
 from vtl.elements import (
@@ -98,6 +99,41 @@ def test_multiplication_is_associative_and_distributive():
         assert element_multiply(x, element_add(y, z), lam) == element_add(
             element_multiply(x, y, lam), element_multiply(x, z, lam)
         )
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements on one strand count, from a few matchings each, with
+    small coefficients so that sums and products often cancel terms."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [random_matching(n, rng) for _ in range(4)]
+
+    def element():
+        terms = {}
+        for m in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            terms[m] = as_scalar(draw(st.integers(-2, 2)))
+        return AlgebraElement(n, terms)
+
+    return element(), element()
+
+
+@given(element_pairs(), st.sampled_from([0, 1, -1, Fraction(5, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_trusted_results_equal_checked_construction(pair, s):
+    x, y = pair
+    for result in (
+        element_add(x, y),
+        element_sub(x, y),
+        element_scale(s, x),
+        element_multiply(x, y, Fraction(5, 2)),
+        element_multiply(x, y, 2),
+    ):
+        checked = AlgebraElement(result.n, dict(result.terms()))
+        assert result == checked
+        assert result.terms() == checked.terms()
+        assert hash(result) == hash(checked)
+        assert all(not c.is_zero for _, c in result.terms())
 
 
 def test_identity_is_multiplicative_unit():

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from vtl.elements import element_multiply, identity_element
+from vtl.elements import (
+    e_element,
+    element_add,
+    element_multiply,
+    element_scale,
+    identity_element,
+    v_element,
+)
 from vtl.errors import NonInvertibleError
 from vtl.expressions import Expr, e_star, gen_e, gen_rho, gen_v
 from vtl.reps import (
@@ -15,7 +22,7 @@ from vtl.reps import (
     rho_image,
     symbol_image,
 )
-from vtl.rho import RhoParams, rho_element, solve_ab
+from vtl.rho import RhoParams, solve_ab
 from vtl.tensorrep import pstar_complement
 from vtl.words import RHO_INV, GeneratorSymbol, parse_word
 
@@ -32,7 +39,14 @@ def test_generators_match_underlying_constructors():
 def test_rho_image_agrees_with_element_builder():
     p = RhoParams.make(2, Fraction(-1, 3), 5, Fraction(5, 2))
     rep = DiagramRep(4, Fraction(5, 2))
-    assert rho_image(rep, 2, p) == rho_element(2, 4, p)
+    expected = element_add(
+        element_add(
+            element_scale(p.a, identity_element(4)),
+            element_scale(p.b, e_element(2, 4)),
+        ),
+        element_scale(p.c, v_element(2, 4)),
+    )
+    assert rho_image(rep, 2, p) == expected
 
 
 def test_rho_is_invertible_exactly_on_the_braid_curve():

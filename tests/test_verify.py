@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from vtl.relations import params_obj
-from vtl.reps import DiagramRep, MatrixRep
+from vtl import verify
+from vtl.linalg import DenseMatrix, rank
+from vtl.relations import (
+    FAMILIES,
+    check_relation,
+    f_word_expr,
+    params_obj,
+    relation_instances,
+)
+from vtl.reps import DiagramRep, MatrixRep, evaluate_expr
 from vtl.rho import RhoParams, solve_ab
 from vtl.verify import ALGEBRA_FAMILIES, VerifyRequest, expected_zero, run_verify
 
@@ -220,3 +228,105 @@ def test_run_verify_unknown_algebra():
 def test_algebra_presets_nest():
     assert set(ALGEBRA_FAMILIES["vtl"]) < set(ALGEBRA_FAMILIES["wtl"])
     assert set(ALGEBRA_FAMILIES["wtl"]) < set(ALGEBRA_FAMILIES["utl"])
+
+
+# Sizes of the side-by-side tests: (rep kind, n, dim).  The matrix rep
+# checks at full size, so there the test covers the report path and the
+# full-size witness; (5, 3) would add 10 s and nothing else.
+LOCAL_SIZES = (
+    [("diagram", n, None) for n in (3, 4, 5)]
+    + [("matrix", n, 2) for n in (3, 4, 5)]
+    + [("matrix", n, 3) for n in (3, 4)]
+)
+
+
+def _full_size_checks(request):
+    """Every instance's report from a direct evaluation at full n."""
+    rep = request.build_rep()
+    out = []
+    for family in ALGEBRA_FAMILIES[request.algebra]:
+        if request.n < FAMILIES[family].min_n:
+            continue
+        for inst in relation_instances(family, request.n, request.params):
+            out.append((inst, check_relation(inst, rep, request.params)))
+    return out
+
+
+@pytest.mark.parametrize("kind, n, dim", LOCAL_SIZES)
+def test_local_checks_equal_full_size_evaluation(monkeypatch, kind, n, dim):
+    """Each entry's observed, residual_norm and groups equal a full-n
+    evaluation; with every prediction flipped each check fails and its
+    witness equals the full-n witness too."""
+    lam = dim if dim is not None else Fraction(5, 2)
+    points = [params_at(1, -1, 1, lam), params_at(1, 2, 3, lam)]
+    flip = verify.expected_zero
+    # utl and brauer between them hold every family of every preset
+    for algebra in ("utl", "brauer"):
+        for p in points:
+            request = VerifyRequest(algebra, kind, n, p, dim=dim, probe_samples=1)
+            full = _full_size_checks(request)
+            report = run_verify(request)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "expected_zero", lambda *a: not flip(*a))
+                flipped = run_verify(request)
+            for run, forced in ((report, False), (flipped, True)):
+                checks = [c for c in run["checks"] if c["status"] != "skipped"]
+                assert len(checks) == len(full)
+                for entry, (inst, want) in zip(checks, full):
+                    where = (algebra, params_obj(p), inst.family, inst.site, inst.variant)
+                    assert (entry["family"], entry["site"], entry["variant"]) == (
+                        inst.family, inst.site, inst.variant
+                    ), where
+                    observed = "zero" if want.residual_zero else "nonzero"
+                    assert entry["observed"] == observed, where
+                    assert entry["residual_norm"] == want.residual_norm, where
+                    assert entry["groups"] == want.groups, where
+                    if forced:
+                        assert entry["status"] == "fail", where
+                        assert entry["witness"] == want.witness, where
+                    else:
+                        assert entry["witness"] is None, where
+
+
+def test_each_run_keeps_its_own_local_checks(monkeypatch):
+    """Two runs give identical reports and make the same number of
+    check_relation calls: no local check outlives its run_verify call."""
+    calls = []
+    real = verify.check_relation
+
+    def counting(instance, rep, params):
+        calls.append(instance.family)
+        return real(instance, rep, params)
+
+    monkeypatch.setattr(verify, "check_relation", counting)
+    request = VerifyRequest("utl", "diagram", 6, params_at(1, -1, 1, 2))
+    first = run_verify(request)
+    first_calls = len(calls)
+    second = run_verify(request)
+    assert first == second
+    assert len(calls) == 2 * first_calls
+    # each local shape is checked once, so far fewer calls than checks
+    assert first_calls < len(first["checks"]) / 2
+
+
+def _full_size_rank(rep):
+    """The independence probe's rank, taken in the full-size rep."""
+    elems = [rep.sub(rep.v(1), rep.v(2))]
+    elems += [evaluate_expr(f_word_expr(j, 1), rep) for j in range(3)]
+    if rep.kind == "matrix":
+        positions = sorted({(r, c) for m in elems for r, c, _ in m.nonzeros()})
+        rows = [[m[r, c] for r, c in positions] for m in elems]
+    else:
+        basis = sorted({m for e in elems for m, _ in e.terms()}, key=lambda m: m.pairs)
+        rows = [[e.coeff(m) for m in basis] for e in elems]
+    return rank(DenseMatrix(rows))
+
+
+@pytest.mark.parametrize("kind, dim", [("diagram", None), ("matrix", 2), ("matrix", 3)])
+@pytest.mark.parametrize("n", [4, 5])
+def test_independence_probe_rank_equals_full_size_rank(kind, dim, n):
+    request = VerifyRequest("vtl", kind, n, solved(dim or 2), dim=dim, probe_samples=1)
+    report = run_verify(request)
+    probe = next(p for p in report["probes"] if p["name"] == "f_move_independence")
+    assert probe["rank"] == _full_size_rank(request.build_rep())
+    assert probe["rank"] == (3 if dim == 2 else 4)
