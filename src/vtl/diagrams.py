@@ -48,9 +48,14 @@ class Matching:
     @classmethod
     def _trusted(cls, n: int, pairs) -> Matching:
         """Canonicalise pairs already known to match the 2n endpoints; no checks."""
+        return cls._sorted(n, _canonical(pairs))
+
+    @classmethod
+    def _sorted(cls, n: int, pairs: tuple[Pair, ...]) -> Matching:
+        """Wrap pairs that are already canonical; no checks, no sort."""
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
-        object.__setattr__(out, "pairs", _canonical(pairs))
+        object.__setattr__(out, "pairs", pairs)
         return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -195,6 +200,83 @@ def compose(upper: Matching, lower: Matching) -> tuple[Matching, int]:
             visited[node] = True
             node = low_nbr[node]
     return Matching._trusted(n, new_pairs), loops
+
+
+# Kinds of the generator matchings that `apply_generator` multiplies by.
+IDENTITY, CUP, CROSS = "1", "e", "v"
+
+_generator_tables: dict[int, dict[Matching, tuple[str, int]]] = {}
+
+
+def generator_table(n: int) -> dict[Matching, tuple[str, int]]:
+    """The 2n-1 generator matchings on n strands, each mapped to (kind, site).
+
+    The identity maps to (IDENTITY, 0), e_i to (CUP, i) and v_i to (CROSS, i).
+    Built once per n.
+    """
+    table = _generator_tables.get(n)
+    if table is None:
+        table = {identity_diagram(n): (IDENTITY, 0)}
+        for i in range(1, n):
+            table[e_diagram(i, n)] = (CUP, i)
+            table[v_diagram(i, n)] = (CROSS, i)
+        _generator_tables[n] = table
+    return table
+
+
+def apply_generator(m: Matching, kind: str, i: int) -> tuple[Matching, int]:
+    """`compose(m, g)` for a generator g of `generator_table`, on m's bottoms alone.
+
+    Below m, v_i swaps the labels B_i and B_{i+1}.  e_i joins the partners
+    of B_i and B_{i+1} and pairs B_i with B_{i+1}; when m already pairs them,
+    its cap closes a loop and m is unchanged.  The pairs of m are canonical,
+    so relabelling keeps each pair in order, and no two pairs share a first
+    endpoint, so one sort on first endpoints makes the result canonical.
+    """
+    if kind == IDENTITY:
+        return m, 0
+    if not 0 < i < m.n:
+        raise ValueError(f"site index {i} out of range for n={m.n}")
+    a = m.n + i - 1
+    b = a + 1
+    out = []
+    if kind == CROSS:
+        for pair in m.pairs:
+            p, q = pair
+            if q == a:
+                out.append((p, b))
+            elif q == b:
+                if p == a:
+                    return m, 0
+                out.append((p, a))
+            elif p == a:
+                out.append((b, q))
+            elif p == b:
+                out.append((a, q))
+            else:
+                out.append(pair)
+        out.sort()
+        return Matching._sorted(m.n, tuple(out)), 0
+    if kind != CUP:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    for pair in m.pairs:
+        p, q = pair
+        if q == a:
+            pa = p
+        elif q == b:
+            if p == a:
+                return m, 1
+            pb = p
+        elif p == a:
+            pa = q
+        elif p == b:
+            pb = q
+        else:
+            out.append(pair)
+    out.append((pa, pb) if pa < pb else (pb, pa))
+    out.append((a, b))
+    out.sort()
+    return Matching._sorted(m.n, tuple(out)), 0
 
 
 def closure_loops(m: Matching) -> int:

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .diagrams import Matching, closure_loops, compose, e_diagram, identity_diagram, v_diagram
+from .diagrams import (
+    Matching,
+    apply_generator,
+    closure_loops,
+    compose,
+    e_diagram,
+    generator_table,
+    identity_diagram,
+    v_diagram,
+)
 from .errors import StrandMismatchError
 from .scalars import ONE, ZERO, QuadScalar, as_scalar
 
@@ -121,10 +130,36 @@ def element_sub(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElement:
-    """Bilinear extension of diagram stacking, with lambda per closed loop."""
+    """Bilinear extension of diagram stacking, with lambda per closed loop.
+
+    When every term of y is a generator matching (the identity, some e_i or
+    v_i), as in every symbol image, each product is read off x's diagrams by
+    `apply_generator`; otherwise each pair of diagrams is glued by `compose`.
+    """
     if x.n != y.n:
         raise StrandMismatchError(f"cannot multiply elements on n={x.n} and n={y.n}")
     lam = as_scalar(lam)
+    table = generator_table(y.n)
+    factors = []
+    for my, cy in y._terms.items():
+        gen = table.get(my)
+        if gen is None:
+            return AlgebraElement._trusted(x.n, _glued_terms(x, y, lam))
+        factors.append((*gen, cy))
+    terms: dict[Matching, QuadScalar] = {}
+    for kind, site, cy in factors:
+        unit = cy == ONE
+        looped = cy * lam  # a product closes at most one loop
+        for mx, cx in x._terms.items():
+            glued, loops = apply_generator(mx, kind, site)
+            weight = cx * looped if loops else cx if unit else cx * cy
+            prev = terms.get(glued)
+            terms[glued] = weight if prev is None else prev + weight
+    return AlgebraElement._trusted(x.n, terms)
+
+
+def _glued_terms(x: AlgebraElement, y: AlgebraElement, lam: QuadScalar) -> dict[Matching, QuadScalar]:
+    """The terms of x * y, each pair of diagrams glued by `compose`."""
     lam_pow = [ONE]  # lam_pow[k] = lam**k, grown as more loops close
     terms: dict[Matching, QuadScalar] = {}
     for mx, cx in x._terms.items():
@@ -137,15 +172,24 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
                 weight = weight * lam_pow[loops]
             prev = terms.get(glued)
             terms[glued] = weight if prev is None else prev + weight
-    return AlgebraElement._trusted(x.n, terms)
+    return terms
 
 
 def closure_trace(x: AlgebraElement, lam) -> QuadScalar:
-    """Markov trace: close each diagram up and weight by lambda^loops."""
+    """Markov trace: close each diagram up and weight by lambda^loops.
+
+    Coefficients are summed per loop count first, so each power of lambda
+    multiplies once.
+    """
     lam = as_scalar(lam)
-    total = ZERO
+    by_loops: dict[int, QuadScalar] = {}
     for m, c in x._terms.items():
-        total = total + c * lam ** closure_loops(m)
+        k = closure_loops(m)
+        prev = by_loops.get(k)
+        by_loops[k] = c if prev is None else prev + c
+    total = ZERO
+    for k in sorted(by_loops):
+        total = total + by_loops[k] * lam**k
     return total
 
 

@@ -169,6 +169,9 @@ def test_oversized_tensor_space_exits_two(capsys):
         assert "exceeds the cap" in err
 
 
+_WORD5 = "v3 v1 r2 v1 r2^-1 r3 r1^-1 v2 r4 r1^-1 r3 r2^-1 r3 e2"
+_WORD6 = "v4 v1 r1 v3 r2^-1 r5 r4^-1 r5 r1^-1 r3 r4^-1 e5 r5 v2"
+
 # sha256 of the JSON stdout, computed with rational parts stored as Fractions;
 # the scalar storage may change, these bytes may not
 GOLDEN = [
@@ -222,6 +225,29 @@ GOLDEN = [
          "--c", "3"),
         "55f6b42205f6ede1c801b25c49e9f9ac93aff2ff1dfda52b376905a7f01b71b6",
     ),
+    # long diagram words shaped like the benchmark's: a v prefix, then rho
+    # letters and their inverses on neighbouring sites, and a cup that
+    # closes loops against the rho terms
+    (
+        ("eval", "--word", _WORD5, "--n", "5", "--lambda", "3", "--b", "b_plus",
+         "--c", "1/2"),
+        "73243d1aaf858f77cf5c3930b6ce256c987dcdc8f6af5d6f2419ef4c27c44ea6",
+    ),
+    (
+        ("trace", "--word", _WORD5, "--n", "5", "--lambda", "3", "--b", "b_plus",
+         "--c", "1/2"),
+        "1c26bb129133161da4d83e7178bf95dfa76c0db48eb7e538475fc82ec2c49173",
+    ),
+    (
+        ("eval", "--word", _WORD6, "--n", "6", "--lambda", "5/2", "--b", "2",
+         "--c", "3"),
+        "ff3588fce9303ccbebe3eead1435c611bf14be3a71b44bcd8ec9f9ce8b47db86",
+    ),
+    (
+        ("trace", "--word", _WORD6, "--n", "6", "--lambda", "5/2", "--b", "2",
+         "--c", "3"),
+        "7668e273912171d636e5ea24e38c460d6738e52bb288f9e81bf947f13071b19e",
+    ),
 ]
 
 
@@ -230,7 +256,8 @@ GOLDEN = [
     GOLDEN,
     ids=["eval-diagram", "eval-matrix", "eval-diagram-D=33/4", "verify-sqrt5",
          "verify-rational", "verify-matrix", "verify-utl-n6", "verify-matrix-4-2",
-         "verify-matrix-4-3", "verify-wtl-n5"],
+         "verify-matrix-4-3", "verify-wtl-n5", "eval-diagram-n5", "trace-n5",
+         "eval-diagram-n6", "trace-n6"],
 )
 def test_json_output_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

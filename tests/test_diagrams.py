@@ -10,11 +10,16 @@ import random
 import pytest
 
 from vtl.diagrams import (
+    CROSS,
+    CUP,
+    IDENTITY,
     Matching,
+    apply_generator,
     closure_loops,
     compose,
     e_diagram,
     endpoint_label,
+    generator_table,
     identity_diagram,
     matching_from_labels,
     parse_endpoint,
@@ -172,6 +177,36 @@ def test_compose_results_pass_validation_for_every_pair():
                 checked = Matching(n, glued.pairs)
                 assert glued == checked and hash(glued) == hash(checked)
                 assert (glued, loops) == compose_oracle(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_apply_generator_matches_compose_for_every_matching(n):
+    """Each matching times each generator (945 x 9 products at n = 5)."""
+    generators = [(IDENTITY, 0, identity_diagram(n))]
+    for i in range(1, n):
+        generators += [(CUP, i, e_diagram(i, n)), (CROSS, i, v_diagram(i, n))]
+    table = generator_table(n)
+    assert len(table) == 2 * n - 1
+    for kind, i, g in generators:
+        assert table[g] == (kind, i)
+    for m in all_matchings(n):
+        for kind, i, g in generators:
+            got, loops = apply_generator(m, kind, i)
+            want, want_loops = compose(m, g)
+            assert (got.pairs, loops) == (want.pairs, want_loops)
+            assert got.n == n
+
+
+def test_apply_generator_closes_a_loop_only_on_a_cup():
+    m = e_diagram(2, 4)
+    assert apply_generator(m, CUP, 2) == (m, 1)
+    assert apply_generator(m, CROSS, 2) == (m, 0)
+    assert apply_generator(m, CUP, 1)[1] == 0
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        apply_generator(m, "x", 1)
+    for kind, i in ((CUP, 0), (CROSS, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_generator(m, kind, i)
 
 
 def test_stacking_is_associative_including_loops():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtl.diagrams import random_matching
+from vtl import elements
+from vtl.diagrams import compose, e_diagram, identity_diagram, random_matching, v_diagram
 from vtl.elements import (
     AlgebraElement,
     closure_trace,
@@ -21,7 +22,7 @@ from vtl.elements import (
     v_element,
 )
 from vtl.errors import StrandMismatchError
-from vtl.scalars import QuadScalar, as_scalar
+from vtl.scalars import ZERO, QuadScalar, as_scalar
 
 
 def test_cupcap_square_scales_by_loop_value():
@@ -134,6 +135,68 @@ def test_trusted_results_equal_checked_construction(pair, s):
         assert result.terms() == checked.terms()
         assert hash(result) == hash(checked)
         assert all(not c.is_zero for _, c in result.terms())
+
+
+def glued_product(x, y, lam):
+    """x * y term by term through `compose`, weighting each loop by lam."""
+    lam = as_scalar(lam)
+    terms = {}
+    for mx, cx in x.terms():
+        for my, cy in y.terms():
+            glued, loops = compose(mx, my)
+            terms[glued] = terms.get(glued, ZERO) + cx * cy * lam**loops
+    return AlgebraElement(x.n, terms)
+
+
+SQRT5 = QuadScalar.root(5)
+
+
+@st.composite
+def generator_span_products(draw):
+    """x from random matchings and cups, y a combination of generators.
+
+    y's terms are the identity and e_i, v_i at one or two sites, as in the
+    images of rho and its inverse, with coefficients that cancel often.
+    """
+    n = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [random_matching(n, rng) for _ in range(3)]
+    pool += [e_diagram(i, n) for i in range(1, n)]
+    coeffs = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), SQRT5])
+    x_terms = {}
+    for m in draw(st.lists(st.sampled_from(pool), max_size=5)):
+        x_terms[m] = as_scalar(draw(coeffs))
+    generators = [identity_diagram(n)]
+    for i in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2)):
+        generators += [e_diagram(i, n), v_diagram(i, n)]
+    y_terms = {g: as_scalar(draw(coeffs)) for g in generators}
+    return AlgebraElement(n, x_terms), AlgebraElement(n, y_terms)
+
+
+@given(generator_span_products(), st.sampled_from([0, 1, 3, Fraction(5, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_generator_products_equal_glued_products(pair, lam):
+    x, y = pair
+    got = element_multiply(x, y, lam)
+    want = glued_product(x, y, lam)
+    assert got == want
+    assert got.terms() == want.terms()
+    assert hash(got) == hash(want)
+
+
+def test_generator_products_weight_loops_and_cancel(monkeypatch):
+    def no_compose(upper, lower):
+        raise AssertionError("a generator product went through compose")
+
+    monkeypatch.setattr(elements, "compose", no_compose)
+    lam = Fraction(5, 2)
+    e = e_element(2, 4)
+    # e (lam - e) = lam e - lam e: the loop's lambda cancels the other term
+    annihilator = element_sub(element_scale(lam, identity_element(4)), e)
+    assert element_multiply(e, annihilator, lam).is_zero
+    # e (e + v) = lam e + e v, and e v = e
+    shifted = element_add(e, v_element(2, 4))
+    assert element_multiply(e, shifted, lam) == element_scale(lam + 1, e)
 
 
 def test_identity_is_multiplicative_unit():
