@@ -26,7 +26,7 @@ def _canonical(pairs) -> tuple[Pair, ...]:
 
 @total_ordering
 class Matching:
-    __slots__ = ("n", "pairs")
+    __slots__ = ("n", "pairs", "_hash")
 
     def __init__(self, n: int, pairs):
         if n < 1:
@@ -44,6 +44,7 @@ class Matching:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_hash", hash((n, pairs)))
 
     @classmethod
     def _trusted(cls, n: int, pairs) -> Matching:
@@ -56,6 +57,7 @@ class Matching:
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "pairs", pairs)
+        object.__setattr__(out, "_hash", hash((n, pairs)))
         return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -72,7 +74,9 @@ class Matching:
         return (self.n, self.pairs) < (other.n, other.pairs)
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        # set at construction: the pairs are immutable, and every dict store
+        # or lookup of a term would otherwise rehash them
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -1,6 +1,7 @@
 """Closed registry of defining relation families and the relation checker.
 
-Each family is stated once, as formal expression pairs with named coefficient
+Each family is stated once, as formal expression pairs on at most four strands
+(its shapes, placed onto any n by `placements`), with named coefficient
 groups where the identity is a linear combination (the bracketed [F]_j pieces
 and friends), so a failed check can report which group was nonzero.  The
 stored coefficients are part of the registry, not re-derived; an independent
@@ -26,6 +27,7 @@ fstar     forbidden moves for the complement 1 - e_i (matrix name: fu22)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateParamsError
 from .expressions import Expr, e_star, gen_e, gen_rho, gen_v
@@ -80,270 +82,198 @@ def f_slide_expr(j: int, i: int) -> Expr:
     raise ValueError("j must be 0, 1 or 2")
 
 
-def _need_params(family: str, params: RhoParams | None) -> RhoParams:
-    if params is None:
-        raise ValueError(f"family {family} needs parameters")
-    return params
+# A shape is a RelationInstance on its own k <= 4 strands, with n = k and its
+# site local.  Shapes come in blocks, and each block says where its shapes are
+# placed (`placements`).
 
 
-def _from_groups(family, n, site, variant, groups) -> RelationInstance:
+@dataclass(frozen=True)
+class _Block:
+    shapes: tuple[RelationInstance, ...]
+    # False: every shape at every site i, on strands i..i+k-1.  True: the
+    # distant commutes x_i y_j = y_j x_i, |i - j| >= 2, on strands
+    # (i, i+1, j, j+1) sorted; shapes[0] serves i < j and shapes[1] i > j.
+    distant: bool = False
+
+
+def _block(family: str, k: int, *specs) -> _Block:
+    """Shapes at site 1 on k strands; a spec is (variant, lhs, rhs[, groups])."""
+    return _Block(tuple(RelationInstance(family, k, 1, *spec) for spec in specs))
+
+
+def _linear(*groups: Group) -> tuple:
+    """The spec of a linear identity: sum of weighted groups = 0."""
     lhs = Expr.zero()
     for g in groups:
         lhs = lhs + g.weighted()
-    return RelationInstance(family, n, site, variant, lhs, Expr.zero(), tuple(groups))
+    return ("linear", lhs, Expr.zero(), groups)
 
 
-def _tlr(n: int, params: RhoParams | None) -> list[RelationInstance]:
-    lam = _need_params("TLR", params).lam
-    out = []
-    for i in range(1, n):
-        e = gen_e(i)
-        out.append(RelationInstance("TLR", n, i, "square", e * e, e.scale(lam)))
-    for i in range(1, n - 1):
-        e1, e2 = gen_e(i), gen_e(i + 1)
-        out.append(RelationInstance("TLR", n, i, "reduce+", e1 * e2 * e1, e1))
-        out.append(RelationInstance("TLR", n, i, "reduce-", e2 * e1 * e2, e2))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            ei, ej = gen_e(i), gen_e(j)
-            out.append(
-                RelationInstance("TLR", n, i, f"commute j={j}", ei * ej, ej * ei)
-            )
-    return out
-
-
-def _vcr(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n):
-        v = gen_v(i)
-        out.append(RelationInstance("VCR", n, i, "square", v * v, Expr.one()))
-    for i in range(1, n - 1):
-        v1, v2 = gen_v(i), gen_v(i + 1)
-        out.append(RelationInstance("VCR", n, i, "braid", v1 * v2 * v1, v2 * v1 * v2))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            vi, vj = gen_v(i), gen_v(j)
-            out.append(
-                RelationInstance("VCR", n, i, f"commute j={j}", vi * vj, vj * vi)
-            )
-    return out
-
-
-def _vev(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n - 1):
-        e1, e2, v1, v2 = gen_e(i), gen_e(i + 1), gen_v(i), gen_v(i + 1)
-        out.append(
-            RelationInstance("VEV", n, i, "conjugate", v1 * e2 * v1, v2 * e1 * v2)
+def _commute(family: str, x, y) -> _Block:
+    """x_i y_j = y_j x_i for |i - j| >= 2.  For x = y an i > j instance
+    repeats an i < j one, so only i < j is placed."""
+    shapes = [RelationInstance(family, 4, 1, "commute", x(1) * y(3), y(3) * x(1))]
+    if x is not y:
+        shapes.append(
+            RelationInstance(family, 4, 3, "commute", x(3) * y(1), y(1) * x(3))
         )
-    for i in range(1, n):
-        e, v = gen_e(i), gen_v(i)
-        out.append(RelationInstance("VEV", n, i, "commute j=i", e * v, v * e))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) < 2:
-                continue
-            e, v = gen_e(i), gen_v(j)
-            out.append(
-                RelationInstance("VEV", n, i, f"commute j={j}", e * v, v * e)
-            )
-    return out
+    return _Block(tuple(shapes), distant=True)
 
 
-def _vbr(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n - 1):
-        r1, r2 = gen_rho(i), gen_rho(i + 1)
-        v1, v2 = gen_v(i), gen_v(i + 1)
-        out.append(
-            RelationInstance("VBR", n, i, "sandwich", v1 * r2 * v1, v2 * r1 * v2)
-        )
-    for i in range(1, n):
-        r, v = gen_rho(i), gen_v(i)
-        out.append(RelationInstance("VBR", n, i, "commute j=i", r * v, v * r))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) < 2:
-                continue
-            r, v = gen_rho(i), gen_v(j)
-            out.append(
-                RelationInstance("VBR", n, i, f"commute j={j}", r * v, v * r)
-            )
-    return out
+def _tlr(p: RhoParams) -> list[_Block]:
+    e1, e2 = gen_e(1), gen_e(2)
+    return [
+        _block("TLR", 2, ("square", e1 * e1, e1.scale(p.lam))),
+        _block(
+            "TLR", 3, ("reduce+", e1 * e2 * e1, e1), ("reduce-", e2 * e1 * e2, e2)
+        ),
+        _commute("TLR", gen_e, gen_e),
+    ]
 
 
-def _bgr(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n - 1):
-        r1, r2 = gen_rho(i), gen_rho(i + 1)
-        out.append(RelationInstance("BGR", n, i, "braid", r1 * r2 * r1, r2 * r1 * r2))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            ri, rj = gen_rho(i), gen_rho(j)
-            out.append(
-                RelationInstance("BGR", n, i, f"commute j={j}", ri * rj, rj * ri)
-            )
-    return out
+def _vcr(p) -> list[_Block]:
+    v1, v2 = gen_v(1), gen_v(2)
+    return [
+        _block("VCR", 2, ("square", v1 * v1, Expr.one())),
+        _block("VCR", 3, ("braid", v1 * v2 * v1, v2 * v1 * v2)),
+        _commute("VCR", gen_v, gen_v),
+    ]
+
+
+def _vev(p) -> list[_Block]:
+    e1, e2, v1, v2 = gen_e(1), gen_e(2), gen_v(1), gen_v(2)
+    return [
+        _block("VEV", 3, ("conjugate", v1 * e2 * v1, v2 * e1 * v2)),
+        _block("VEV", 2, ("commute j=i", e1 * v1, v1 * e1)),
+        _commute("VEV", gen_e, gen_v),
+    ]
+
+
+def _vbr(p) -> list[_Block]:
+    r1, r2, v1, v2 = gen_rho(1), gen_rho(2), gen_v(1), gen_v(2)
+    return [
+        _block("VBR", 3, ("sandwich", v1 * r2 * v1, v2 * r1 * v2)),
+        _block("VBR", 2, ("commute j=i", r1 * v1, v1 * r1)),
+        _commute("VBR", gen_rho, gen_v),
+    ]
+
+
+def _bgr(p) -> list[_Block]:
+    r1, r2 = gen_rho(1), gen_rho(2)
+    return [
+        _block("BGR", 3, ("braid", r1 * r2 * r1, r2 * r1 * r2)),
+        _commute("BGR", gen_rho, gen_rho),
+    ]
 
 
 def _forbidden(which: int):
-    def build(n: int, params) -> list[RelationInstance]:
-        out = []
-        for i in range(1, n - 1):
-            r1, r2 = gen_rho(i), gen_rho(i + 1)
-            v1, v2 = gen_v(i), gen_v(i + 1)
-            if which == 1:
-                lhs, rhs = v1 * r2 * r1, r2 * r1 * v2
-            else:
-                lhs, rhs = r1 * r2 * v1, v2 * r1 * r2
-            out.append(RelationInstance(f"F{which}", n, i, "move", lhs, rhs))
-        return out
+    def build(p) -> list[_Block]:
+        r1, r2, v1, v2 = gen_rho(1), gen_rho(2), gen_v(1), gen_v(2)
+        if which == 1:
+            lhs, rhs = v1 * r2 * r1, r2 * r1 * v2
+        else:
+            lhs, rhs = r1 * r2 * v1, v2 * r1 * r2
+        return [_block(f"F{which}", 3, ("move", lhs, rhs))]
 
     return build
 
 
-def _vtl(n: int, params: RhoParams | None) -> list[RelationInstance]:
-    p = _need_params("vTL", params)
+def _vtl(p: RhoParams) -> list[_Block]:
     a, b, c, lam = p.a, p.b, p.c, p.lam
-    coeff_e = a * a * b + a * b * b * lam + b * b * b
-    out = []
-    for i in range(1, n - 1):
-        e1, e2, v1, v2 = gen_e(i), gen_e(i + 1), gen_v(i), gen_v(i + 1)
-        groups = [
-            Group("e_diff", coeff_e, e1 - e2),
-            Group("v_diff", a * a * c, v1 - v2),
-            Group("ev_mixed", a * b * c, e1 * v1 + v1 * e1 - e2 * v2 - v2 * e2),
-            Group("f0", b * b * c, f_word_expr(0, i)),
-            Group("f1", b * b * c, f_word_expr(1, i)),
-            Group("f2", b * b * c, f_word_expr(2, i)),
-        ]
-        out.append(_from_groups("vTL", n, i, "linear", groups))
-    return out
+    e1, e2, v1, v2 = gen_e(1), gen_e(2), gen_v(1), gen_v(2)
+    linear = _linear(
+        Group("e_diff", a * a * b + a * b * b * lam + b * b * b, e1 - e2),
+        Group("v_diff", a * a * c, v1 - v2),
+        Group("ev_mixed", a * b * c, e1 * v1 + v1 * e1 - e2 * v2 - v2 * e2),
+        Group("f0", b * b * c, f_word_expr(0, 1)),
+        Group("f1", b * b * c, f_word_expr(1, 1)),
+        Group("f2", b * b * c, f_word_expr(2, 1)),
+    )
+    return [_block("vTL", 3, linear)]
 
 
-def _ff1(n: int, params: RhoParams | None) -> list[RelationInstance]:
-    p = _need_params("FF1", params)
-    a, b = p.a, p.b
-    out = []
-    for i in range(1, n - 1):
-        e1, e2, v1, v2 = gen_e(i), gen_e(i + 1), gen_v(i), gen_v(i + 1)
-        groups = [
+def _ff(which: int):
+    def build(p: RhoParams) -> list[_Block]:
+        a, b = p.a, p.b
+        e1, e2, v1, v2 = gen_e(1), gen_e(2), gen_v(1), gen_v(2)
+        if which == 1:
+            mixed = v1 * e1 + v1 * e2 - e1 * v2 - e2 * v2
+        else:
+            mixed = e1 * v1 + e2 * v1 - v2 * e1 - v2 * e2
+        linear = _linear(
             Group("v_diff", a * a, v1 - v2),
-            Group("ev_mixed", a * b, v1 * e1 + v1 * e2 - e1 * v2 - e2 * v2),
-            Group("f1", b * b, f_word_expr(1, i)),
-        ]
-        out.append(_from_groups("FF1", n, i, "linear", groups))
-    return out
+            Group("ev_mixed", a * b, mixed),
+            Group(f"f{which}", b * b, f_word_expr(which, 1)),
+        )
+        return [_block(f"FF{which}", 3, linear)]
 
-
-def _ff2(n: int, params: RhoParams | None) -> list[RelationInstance]:
-    p = _need_params("FF2", params)
-    a, b = p.a, p.b
-    out = []
-    for i in range(1, n - 1):
-        e1, e2, v1, v2 = gen_e(i), gen_e(i + 1), gen_v(i), gen_v(i + 1)
-        groups = [
-            Group("v_diff", a * a, v1 - v2),
-            Group("ev_mixed", a * b, e1 * v1 + e2 * v1 - v2 * e1 - v2 * e2),
-            Group("f2", b * b, f_word_expr(2, i)),
-        ]
-        out.append(_from_groups("FF2", n, i, "linear", groups))
-    return out
+    return build
 
 
 def _wtl(which: int):
-    def build(n: int, params: RhoParams | None) -> list[RelationInstance]:
-        p = _need_params(f"wTL{which}", params)
+    def build(p: RhoParams) -> list[_Block]:
         a, b, c, lam = p.a, p.b, p.c, p.lam
-        coeff_e = a * a * b + a * b * b * lam + b * b * b
-        abc = a * b * c
-        bbc = b * b * c
-        out = []
-        for i in range(1, n - 1):
-            e1, e2, v1, v2 = gen_e(i), gen_e(i + 1), gen_v(i), gen_v(i + 1)
-            if which == 1:
-                mixed = e1 * v1 - v2 * e2 - v1 * e2 + e1 * v2
-                fa, fb = 0, 2
-            else:
-                mixed = v1 * e1 - e2 * v2 - e2 * v1 + v2 * e1
-                fa, fb = 0, 1
-            groups = [
-                Group("e_diff", coeff_e, e1 - e2),
-                Group("ev_mixed", abc, mixed),
-                Group(f"f{fa}", bbc, f_word_expr(fa, i)),
-                Group(f"f{fb}", bbc, f_word_expr(fb, i)),
-            ]
-            out.append(_from_groups(f"wTL{which}", n, i, "linear", groups))
-        return out
+        e1, e2, v1, v2 = gen_e(1), gen_e(2), gen_v(1), gen_v(2)
+        if which == 1:
+            mixed = e1 * v1 - v2 * e2 - v1 * e2 + e1 * v2
+            fa, fb = 0, 2
+        else:
+            mixed = v1 * e1 - e2 * v2 - e2 * v1 + v2 * e1
+            fa, fb = 0, 1
+        linear = _linear(
+            Group("e_diff", a * a * b + a * b * b * lam + b * b * b, e1 - e2),
+            Group("ev_mixed", a * b * c, mixed),
+            Group(f"f{fa}", b * b * c, f_word_expr(fa, 1)),
+            Group(f"f{fb}", b * b * c, f_word_expr(fb, 1)),
+        )
+        return [_block(f"wTL{which}", 3, linear)]
 
     return build
 
 
-def _brauer(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n):
-        e, v = gen_e(i), gen_v(i)
-        out.append(RelationInstance("brauer", n, i, "ev", e * v, e))
-        out.append(RelationInstance("brauer", n, i, "ve", v * e, e))
-    for i in range(1, n - 1):
-        e1, e2, v1, v2 = gen_e(i), gen_e(i + 1), gen_v(i), gen_v(i + 1)
-        out.append(RelationInstance("brauer", n, i, "vee+", v2 * e1 * e2, v1 * e2))
-        out.append(RelationInstance("brauer", n, i, "vee-", v1 * e2 * e1, v2 * e1))
-        out.append(RelationInstance("brauer", n, i, "eev+", e2 * e1 * v2, e2 * v1))
-        out.append(RelationInstance("brauer", n, i, "eev-", e1 * e2 * v1, e1 * v2))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) < 2:
-                continue
-            e, v = gen_e(i), gen_v(j)
-            out.append(
-                RelationInstance("brauer", n, i, f"commute j={j}", e * v, v * e)
-            )
-    return out
+def _brauer(p) -> list[_Block]:
+    e1, e2, v1, v2 = gen_e(1), gen_e(2), gen_v(1), gen_v(2)
+    return [
+        _block("brauer", 2, ("ev", e1 * v1, e1), ("ve", v1 * e1, e1)),
+        _block(
+            "brauer",
+            3,
+            ("vee+", v2 * e1 * e2, v1 * e2),
+            ("vee-", v1 * e2 * e1, v2 * e1),
+            ("eev+", e2 * e1 * v2, e2 * v1),
+            ("eev-", e1 * e2 * v1, e1 * v2),
+        ),
+        _commute("brauer", gen_e, gen_v),
+    ]
 
 
-def _brvtl(n: int, params: RhoParams | None) -> list[RelationInstance]:
-    p = _need_params("brvtl", params)
+def _brvtl(p: RhoParams) -> list[_Block]:
     a, b, c, lam = p.a, p.b, p.c, p.lam
-    two = as_scalar(2)
-    coeff_f0 = b * (a * a + a * b * lam + b * b + c * (two * a + b))
-    out = []
-    for i in range(1, n - 1):
-        v1, v2 = gen_v(i), gen_v(i + 1)
-        groups = [
-            Group("v_diff", a * a * c, v1 - v2),
-            Group("f0_slide", coeff_f0, f_slide_expr(0, i)),
-            Group("f1_slide", b * b * c, f_slide_expr(1, i)),
-            Group("f2_slide", b * b * c, f_slide_expr(2, i)),
-        ]
-        out.append(_from_groups("brvtl", n, i, "linear", groups))
-    return out
+    coeff_f0 = b * (a * a + a * b * lam + b * b + c * (as_scalar(2) * a + b))
+    linear = _linear(
+        Group("v_diff", a * a * c, gen_v(1) - gen_v(2)),
+        Group("f0_slide", coeff_f0, f_slide_expr(0, 1)),
+        Group("f1_slide", b * b * c, f_slide_expr(1, 1)),
+        Group("f2_slide", b * b * c, f_slide_expr(2, 1)),
+    )
+    return [_block("brvtl", 3, linear)]
 
 
-def _f_explicit(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n - 1):
-        for j in range(3):
-            out.append(
-                RelationInstance(
-                    "f_explicit", n, i, f"F{j}", f_word_expr(j, i), f_slide_expr(j, i)
-                )
-            )
-    return out
+def _f_explicit(p) -> list[_Block]:
+    specs = [(f"F{j}", f_word_expr(j, 1), f_slide_expr(j, 1)) for j in range(3)]
+    return [_block("f_explicit", 3, *specs)]
 
 
-def _fstar(n: int, params) -> list[RelationInstance]:
-    out = []
-    for i in range(1, n - 1):
-        s1, s2 = e_star(i), e_star(i + 1)
-        v1, v2 = gen_v(i), gen_v(i + 1)
-        out.append(
-            RelationInstance("fstar", n, i, "F1", v1 * s2 * s1, s2 * s1 * v2)
+def _fstar(p) -> list[_Block]:
+    s1, s2, v1, v2 = e_star(1), e_star(2), gen_v(1), gen_v(2)
+    return [
+        _block(
+            "fstar",
+            3,
+            ("F1", v1 * s2 * s1, s2 * s1 * v2),
+            ("F2", s1 * s2 * v1, v2 * s1 * s2),
         )
-        out.append(
-            RelationInstance("fstar", n, i, "F2", s1 * s2 * v1, v2 * s1 * s2)
-        )
-    return out
+    ]
 
 
 @dataclass(frozen=True)
@@ -352,7 +282,7 @@ class FamilySpec:
     min_n: int
     needs_params: bool
     guarded: bool  # reject the b=0, a*c != 0 regime before evaluating
-    builder: object
+    builder: object  # params -> list of shape blocks
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -366,9 +296,9 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec("F1", 3, False, False, _forbidden(1)),
         FamilySpec("F2", 3, False, False, _forbidden(2)),
         FamilySpec("vTL", 3, True, True, _vtl),
-        FamilySpec("FF1", 3, True, True, _ff1),
+        FamilySpec("FF1", 3, True, True, _ff(1)),
         FamilySpec("wTL1", 3, True, True, _wtl(1)),
-        FamilySpec("FF2", 3, True, True, _ff2),
+        FamilySpec("FF2", 3, True, True, _ff(2)),
         FamilySpec("wTL2", 3, True, True, _wtl(2)),
         FamilySpec("brauer", 2, False, False, _brauer),
         FamilySpec("brvtl", 3, True, True, _brvtl),
@@ -378,82 +308,81 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 
-def relation_instances(
+class Placement(NamedTuple):
+    """One instance of a family at size n: its shape on `strands` of n."""
+
+    site: int
+    variant: str
+    shape: RelationInstance
+    strands: tuple[int, ...]
+
+    def lift(self, n: int) -> RelationInstance:
+        """The full-size instance: local site s acts at strands[s - 1]."""
+        strands = self.strands
+
+        def move(expr: Expr) -> Expr:
+            return Expr(
+                {
+                    tuple(GeneratorSymbol(kind, strands[i - 1]) for kind, i in word): c
+                    for word, c in expr.terms.items()
+                }
+            )
+
+        shape = self.shape
+        return RelationInstance(
+            shape.family,
+            n,
+            self.site,
+            self.variant,
+            move(shape.lhs),
+            move(shape.rhs),
+            tuple(Group(g.name, g.coeff, move(g.expr)) for g in shape.groups),
+        )
+
+
+def placements(
     family: str, n: int, params: RhoParams | None = None
-) -> list[RelationInstance]:
+) -> list[Placement]:
+    """Every instance of the family at size n, as its shape and strands.
+
+    A generator at site i acts on strands i and i+1 only, so an instance
+    lives on the strands its sites touch, and adding identity strands
+    elsewhere is an injective algebra map (X -> X (x) I in the tensor
+    model): an instance's residual vanishes at n exactly when its shape's
+    does, with the same terms and group verdicts.  The shapes are built
+    once per call; the order is that of `relation_instances`.
+    """
     spec = FAMILIES.get(family)
     if spec is None:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown relation family {family!r} (known: {known})")
     if n < spec.min_n:
         raise ValueError(f"family {family} needs n >= {spec.min_n}, got {n}")
-    if spec.needs_params:
-        _need_params(family, params)
-    return spec.builder(n, params)
+    if spec.needs_params and params is None:
+        raise ValueError(f"family {family} needs parameters")
+    out = []
+    for block in spec.builder(params):
+        if not block.distant:
+            k = block.shapes[0].n
+            for i in range(1, n - k + 2):
+                strands = tuple(range(i, i + k))
+                out += [Placement(i, s.variant, s, strands) for s in block.shapes]
+            continue
+        for i in range(1, n):
+            for j in range(1, n):
+                if abs(i - j) < 2 or (i > j and len(block.shapes) == 1):
+                    continue
+                lo, hi = min(i, j), max(i, j)
+                shape = block.shapes[i > j]
+                strands = (lo, lo + 1, hi, hi + 1)
+                out.append(Placement(i, f"commute j={j}", shape, strands))
+    return out
 
 
-def _relabelled_key(expr: Expr, pos: dict[int, int]) -> tuple:
-    return tuple(
-        (tuple((s.kind, pos[s.index]) for s in word), coeff)
-        for word, coeff in expr.terms.items()
-    )
-
-
-def localize(instance: RelationInstance) -> tuple[tuple[int, ...], tuple]:
-    """Support strands of an instance, and its memo key on those strands.
-
-    A generator at site i acts on strands i and i+1 only, so lhs, rhs and
-    every group live on the support: the sorted union of {i, i+1} over the
-    sites they use.  Adding identity strands elsewhere is an injective
-    algebra map (X -> X (x) I in the tensor model), so a residual vanishes
-    at n exactly when it vanishes on the support, with the same terms and
-    group verdicts.  The key is the family, the support size k and the
-    lhs/rhs/group terms with site i relabelled to pos[i] in 1..k (the map
-    is monotone); instances with equal keys have equal local residuals.
-    """
-    exprs = [instance.lhs, instance.rhs] + [g.expr for g in instance.groups]
-    sites = {s.index for expr in exprs for word in expr.terms for s in word}
-    strands = tuple(sorted(sites | {i + 1 for i in sites}))
-    pos = {strand: p for p, strand in enumerate(strands, start=1)}
-    key = (
-        instance.family,
-        len(strands),
-        _relabelled_key(instance.lhs, pos),
-        _relabelled_key(instance.rhs, pos),
-        tuple(
-            (g.name, g.coeff, _relabelled_key(g.expr, pos))
-            for g in instance.groups
-        ),
-    )
-    return strands, key
-
-
-def local_instance(
-    instance: RelationInstance, strands: tuple[int, ...]
-) -> RelationInstance:
-    """The instance relabelled onto strands 1..k of its support `strands`.
-
-    The variant keeps its name; only the sites move.
-    """
-    pos = {strand: p for p, strand in enumerate(strands, start=1)}
-
-    def move(expr: Expr) -> Expr:
-        return Expr(
-            {
-                tuple(GeneratorSymbol(s.kind, pos[s.index]) for s in word): coeff
-                for word, coeff in expr.terms.items()
-            }
-        )
-
-    return RelationInstance(
-        instance.family,
-        len(strands),
-        pos[instance.site],
-        instance.variant,
-        move(instance.lhs),
-        move(instance.rhs),
-        tuple(Group(g.name, g.coeff, move(g.expr)) for g in instance.groups),
-    )
+def relation_instances(
+    family: str, n: int, params: RhoParams | None = None
+) -> list[RelationInstance]:
+    return [p.lift(n) for p in placements(family, n, params)]
 
 
 @dataclass(frozen=True)

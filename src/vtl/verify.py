@@ -27,10 +27,8 @@ from .relations import (
     CheckReport,
     check_relation,
     f_word_expr,
-    local_instance,
-    localize,
     params_obj,
-    relation_instances,
+    placements,
 )
 from .reps import DiagramRep, MatrixRep, Rep, evaluate_expr
 from .rho import RhoParams
@@ -139,17 +137,18 @@ def _run_checks(
 ) -> list[dict]:
     """Check every instance of the preset's families.
 
-    In the diagram rep each instance is checked on its support strands, and
-    each local shape once per run (`relations.localize`); the local report
-    is the full-size one.  The matrix rep still checks each instance at full
-    size: there a local check also needs its entry count lifted by
-    d^(n-k), and the benchmark's verify_matrix pass would drop under the
-    50 ms of CPU between its speed-probe samples, which aborts the run.
-    A fail is a bug report, so its witness comes from a full-size evaluation.
+    In the diagram rep each placement is checked through its family's shape
+    on the shape's own k <= 4 strands, and each shape once per run
+    (`relations.placements`); the local report is the full-size one.  No
+    full-size instance is built unless a check fails: a fail is a bug
+    report, so its witness comes from the instance lifted to full size.
+    The matrix rep checks each lifted instance at full size: there a local
+    check also needs its entry count lifted by d^(n-k), and the
+    benchmark's verify_matrix pass would drop under the 50 ms of CPU
+    between its speed-probe samples, which aborts the run.
     """
     params = request.params
     local = rep.kind == "diagram"
-    local_checks: dict[tuple, CheckReport] = {}
     checks = []
     for family in ALGEBRA_FAMILIES[request.algebra]:
         min_n = FAMILIES[family].min_n
@@ -168,26 +167,23 @@ def _run_checks(
                 }
             )
             continue
-        instances = relation_instances(family, request.n, params)
         # One prediction per variant: sites differ only in where they act.
         verdicts: dict[str, bool] = {}
-        for inst in instances:
-            if inst.variant not in verdicts:
-                verdicts[inst.variant] = expected_zero(
-                    family, params, rep, inst.variant
+        shape_reports: dict[int, CheckReport] = {}  # by id of the shape
+        for place in placements(family, request.n, params):
+            if place.variant not in verdicts:
+                verdicts[place.variant] = expected_zero(
+                    family, params, rep, place.variant
                 )
-            want_zero = verdicts[inst.variant]
+            want_zero = verdicts[place.variant]
             if local:
-                strands, key = localize(inst)
-                report = local_checks.get(key)
+                report = shape_reports.get(id(place.shape))
                 if report is None:
-                    local_rep = _rep_on(rep, len(strands), local_reps)
-                    report = check_relation(
-                        local_instance(inst, strands), local_rep, params
-                    )
-                    local_checks[key] = report
+                    shape_rep = _rep_on(rep, place.shape.n, local_reps)
+                    report = check_relation(place.shape, shape_rep, params)
+                    shape_reports[id(place.shape)] = report
             else:
-                report = check_relation(inst, rep, params)
+                report = check_relation(place.lift(request.n), rep, params)
             observed_zero = report.residual_zero
             if want_zero and observed_zero:
                 status = "pass"
@@ -197,11 +193,11 @@ def _run_checks(
                 status = "fail"
             witness = None
             if status == "fail":
-                witness = check_relation(inst, rep, params).witness
+                witness = check_relation(place.lift(request.n), rep, params).witness
             entry = {
                 "family": family,
-                "site": inst.site,
-                "variant": inst.variant,
+                "site": place.site,
+                "variant": place.variant,
                 "expected": "zero" if want_zero else "nonzero",
                 "observed": "zero" if observed_zero else "nonzero",
                 "status": status,

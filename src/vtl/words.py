@@ -14,6 +14,7 @@ as the parameterised combination above, resolved at evaluation time.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import WordParseError
@@ -23,10 +24,14 @@ E, V, RHO, RHO_INV = "e", "v", "r", "r_inv"
 _TOKEN = re.compile(r"^([evr])([0-9]+)(\^-1)?$")
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorSymbol:
-    kind: str
-    index: int
+class GeneratorSymbol(namedtuple("GeneratorSymbol", "kind index")):
+    """A generator letter: `kind` (e, v, r or r_inv) at site `index`.
+
+    A tuple of (kind, index), so hashing, equality and ordering run in C:
+    symbols are hashed with every word used as a dict key.
+    """
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return render_symbol(self)

@@ -248,6 +248,28 @@ GOLDEN = [
          "--c", "3"),
         "7668e273912171d636e5ea24e38c460d6738e52bb288f9e81bf947f13071b19e",
     ),
+    # the benchmark's largest diagram verify size, where most placements are
+    # distant commutes sharing one local shape
+    (
+        ("verify", "--algebra", "brauer", "--n", "9", "--lambda", "5/2", "--a",
+         "1", "--b", "2", "--c", "3"),
+        "adac2ccae6e8cb8d7b9a126ee772222f73f23cbc37050d02da36fe9cd26360b8",
+    ),
+    (
+        ("verify", "--algebra", "brauer", "--n", "9", "--lambda", "2", "--a",
+         "1", "--b", "-1", "--c", "1"),
+        "01576e9643822b4656293e246ee5ca3d406e7f6ca57733d22f829b15821495b6",
+    ),
+    (
+        ("verify", "--algebra", "vtl", "--n", "9", "--lambda", "5/2", "--a",
+         "1", "--b", "2", "--c", "3"),
+        "2bea37365e065d716455d334d39400f16bbd6ad42aec5331ae2ef9dc72487f64",
+    ),
+    (
+        ("verify", "--algebra", "vtl", "--n", "9", "--lambda", "2", "--a",
+         "1", "--b", "-1", "--c", "1"),
+        "15618fc213f923f4fa29f5994c42d8d183b81f3a7a22ee6524d9194e77e58cc9",
+    ),
 ]
 
 
@@ -257,7 +279,9 @@ GOLDEN = [
     ids=["eval-diagram", "eval-matrix", "eval-diagram-D=33/4", "verify-sqrt5",
          "verify-rational", "verify-matrix", "verify-utl-n6", "verify-matrix-4-2",
          "verify-matrix-4-3", "verify-wtl-n5", "eval-diagram-n5", "trace-n5",
-         "eval-diagram-n6", "trace-n6"],
+         "eval-diagram-n6", "trace-n6", "verify-brauer-n9-rational",
+         "verify-brauer-n9-collapse", "verify-vtl-n9-rational",
+         "verify-vtl-n9-collapse"],
 )
 def test_json_output_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

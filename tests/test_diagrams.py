@@ -282,3 +282,12 @@ def test_ordering_and_repr():
     e, v = e_diagram(1, 2), v_diagram(1, 2)
     assert sorted([v, e]) == sorted([e, v])
     assert "T1" in repr(e)
+
+
+def test_matching_is_immutable_and_hashes_by_value():
+    m = identity_diagram(3)
+    for attr in ("n", "pairs", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, None)
+    same = Matching._trusted(3, [(3, 0), (4, 1), (5, 2)])
+    assert same == m and hash(same) == hash(m) and len({m, same}) == 1

@@ -1,5 +1,6 @@
 """Relation registry: instances, exact checks, and parameter conditions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from vtl.relations import (
     check_relation,
     f_slide_expr,
     f_word_expr,
+    placements,
     relation_instances,
 )
 from vtl.reps import DiagramRep, MatrixRep, evaluate_expr
@@ -88,6 +90,68 @@ def test_parametric_families_require_params():
         relation_instances("vTL", 3)
     with pytest.raises(ValueError):
         relation_instances("TLR", 3)
+
+
+# Digest of every instance at n = min_n..7 and two parameter points, one
+# rational and one in Q(sqrt 5): family, n, site, variant, lhs, rhs, and each
+# group's name, coefficient and expression.
+REGISTRY_DIGESTS = {
+    "TLR": "354f45e65881a45b3b0fe4f36a3a92164f608b6a53310c8522faca5a35e1be86",
+    "VCR": "868914c00917c2b9c51ef9ff4bb887e9dd47481359124ba5e02ee615e43b2924",
+    "VEV": "0d009c7afb00b6d08b44094d2620526aabfb6d9ce78716b22550e7b69343d6b9",
+    "VBR": "5998435e26762659462e459d0f4e887ad070174508466f4108fefa28b811c83b",
+    "BGR": "252f514a804ab0f52aaf9380c88807f8e09595cbf4ffcdce9ba22eae4422b65f",
+    "F1": "734d315ed0ed99e04644ba2b57e186004abd343507660462dde52cad0b40201d",
+    "F2": "857577cdbbd20d3ea6ca1580cd48e2afeef58dd99e3c617b7dd6beea7708c0be",
+    "vTL": "3e8e79dfd842499be68a13c67980751634e7a363ff2e9bb8dae1c24f0b17b655",
+    "FF1": "63c145d33e20cd3b012f17f62c6ec281f0265246523145c8eab5fdc3f96b2391",
+    "wTL1": "deee571cc8e6485eff7cc3eb999fd243d5ff963ef3e5a3d087af7122323f5d0d",
+    "FF2": "71aa9ebcf8fb27b59f66bdef862123832af8ad9a31b5aee7b6c3a221ac63ef7e",
+    "wTL2": "0a6960f8ae1c37b4d6ccb1b28f39cd21acb3aab1d6f82a5e7abe4ccf13ade73b",
+    "brauer": "a1a67bd836ab51e16792d818609680a6bbb825b34feb0ec3dc38b07635363cc8",
+    "brvtl": "840bb23216105dbc6b0da7490e516a16430bf55c75b1e4ef43346f9bd2c44a52",
+    "f_explicit": "45917c8276f9d0786603aba85db92aea99d25efdc168f73fd2f7bc63924fff3b",
+    "fstar": "601d7ef38f9ac5a8ec0d1cd7b81eed5e49890e966c7e3b39d97523880578c156",
+}
+
+
+@pytest.mark.parametrize("family", sorted(REGISTRY_DIGESTS))
+def test_registry_instances_match_pinned_digest(family):
+    h = hashlib.sha256()
+    for p in (params_at(1, 2, 3, Fraction(5, 2)), solved_params(3, c=1)):
+        for n in range(FAMILIES[family].min_n, 8):
+            for inst in relation_instances(family, n, p):
+                groups = [(g.name, repr(g.coeff), repr(g.expr)) for g in inst.groups]
+                fields = (
+                    inst.family, inst.n, inst.site, inst.variant,
+                    repr(inst.lhs), repr(inst.rhs), groups,
+                )
+                h.update(repr(fields).encode())
+    assert h.hexdigest() == REGISTRY_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_instances_act_on_their_placement_strands(family):
+    """Each instance is its shape lifted onto the placement's strands, and
+    every generator it uses acts on two of those strands."""
+    for p in (params_at(1, 2, 3, Fraction(5, 2)), solved_params(3, c=1)):
+        for n in range(FAMILIES[family].min_n, 8):
+            places = placements(family, n, p)
+            insts = relation_instances(family, n, p)
+            assert len(places) == len(insts)
+            for place, inst in zip(places, insts):
+                strands = place.strands
+                assert list(strands) == sorted(set(strands))
+                assert 1 <= strands[0] and strands[-1] <= n
+                assert place.shape.n == len(strands) <= 4
+                assert place.shape.family == inst.family == family
+                assert (inst.site, inst.variant) == (place.site, place.variant)
+                assert inst.site == strands[place.shape.site - 1]
+                exprs = [inst.lhs, inst.rhs] + [g.expr for g in inst.groups]
+                for expr in exprs:
+                    for word in expr.terms:
+                        for sym in word:
+                            assert {sym.index, sym.index + 1} <= set(strands)
 
 
 # --- structural families hold identically ---------------------------------

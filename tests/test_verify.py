@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vtl import verify
+from vtl import relations, verify
 from vtl.linalg import DenseMatrix, rank
 from vtl.relations import (
     FAMILIES,
@@ -307,6 +307,23 @@ def test_each_run_keeps_its_own_local_checks(monkeypatch):
     assert len(calls) == 2 * first_calls
     # each local shape is checked once, so far fewer calls than checks
     assert first_calls < len(first["checks"]) / 2
+
+
+def test_diagram_checks_build_no_full_size_instance(monkeypatch):
+    """With no fails, diagram verify checks shapes only: it never calls
+    relation_instances or lifts a placement to full size."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("full-size instance built")
+
+    monkeypatch.setattr(relations, "relation_instances", boom)
+    monkeypatch.setattr(verify, "relation_instances", boom, raising=False)
+    monkeypatch.setattr(relations.Placement, "lift", boom)
+    for algebra in ("utl", "brauer"):
+        request = VerifyRequest(algebra, "diagram", 6, params_at(1, -1, 1, 2))
+        report = run_verify(request)
+        assert report["ok"] and report["summary"]["fail"] == 0
+        assert report["summary"]["pass"] > 0
 
 
 def _full_size_rank(rep):

@@ -85,3 +85,18 @@ def test_symbol_validation_and_render():
     assert render_symbol(symbol("r_inv", 1)) == "r1^-1"
     with pytest.raises(ValueError):
         symbol("x", 1)
+
+
+def test_symbol_equality_ordering_and_repr():
+    a, b = GeneratorSymbol(E, 2), GeneratorSymbol(E, 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != GeneratorSymbol(V, 2) and a != GeneratorSymbol(E, 3)
+    assert (a.kind, a.index) == (E, 2)
+    # ordered by (kind, index): kind first, as strings
+    syms = [GeneratorSymbol(V, 1), GeneratorSymbol(RHO, 2), GeneratorSymbol(E, 3),
+            GeneratorSymbol(E, 1), GeneratorSymbol(RHO_INV, 1)]
+    assert sorted(syms) == sorted(syms, key=lambda s: (s.kind, s.index))
+    assert [repr(s) for s in sorted(syms)] == ["e1", "e3", "r2", "r1^-1", "v1"]
+    assert GeneratorSymbol(E, 1) < GeneratorSymbol(E, 2) < GeneratorSymbol(RHO, 1)
+    with pytest.raises(AttributeError):
+        a.index = 3
