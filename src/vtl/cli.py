@@ -29,10 +29,8 @@ from .relations import params_obj
 from .reps import DiagramRep, MatrixRep, evaluate_word
 from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
-from .verify import ALGEBRA_FAMILIES, VerifyRequest, run_verify
+from .verify import ALGEBRA_FAMILIES, DEFAULT_SEED, VerifyRequest, run_verify
 from .words import parse_word
-
-DEFAULT_SEED = 20260214
 
 
 def _fraction(text: str) -> Fraction:
@@ -263,7 +261,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    lam = as_scalar(args.lam) if args.lam is not None else as_scalar(2)
+    lam = _resolve_lambda(args)
     params = _resolve_params(args, lam)
     word = parse_word(args.word, args.n)
     rep = DiagramRep(args.n, lam)

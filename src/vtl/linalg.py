@@ -8,7 +8,7 @@ entry, `entries` gives the dense rows), only the storage is sparse.
 
 Everything here is exact; there is no floating point anywhere.  Matrices are
 immutable: methods return fresh instances.  `invert`, `rank` and
-`solve_columns` run Gaussian elimination on dense working copies.
+`solve_columns` share one Gauss-Jordan elimination on sparse rows.
 """
 
 from __future__ import annotations
@@ -224,8 +224,42 @@ class DenseMatrix:
         }
 
 
+def _reduce(rows: list[dict[int, QuadScalar]], width: int) -> list[int]:
+    """Gauss-Jordan elimination in place on sparse {col: nonzero} rows.
+
+    Pivots on columns 0..width-1, each on the first remaining row that is
+    nonzero there; columns from `width` on ride along as the augmented part.
+    Afterwards row k holds pivot k scaled to one, the pivot columns are zero
+    in every other row, and the rows past the pivots are zero before `width`.
+    Returns the pivot columns in order.
+    """
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((k for k in range(r, len(rows)) if col in rows[k]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv_p = rows[r][col].inv()
+        prow = rows[r] = {c: v * inv_p for c, v in rows[r].items()}
+        for k, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or k == r:
+                continue
+            for c, v in prow.items():
+                new = row.get(c, _ZERO) - f * v
+                if new.is_zero:
+                    del row[c]
+                else:
+                    row[c] = new
+        pivots.append(col)
+    return pivots
+
+
 def invert(m: DenseMatrix) -> DenseMatrix | None:
-    """Exact inverse by Gauss-Jordan elimination; None when singular.
+    """Exact inverse by Gauss-Jordan elimination on [m | I]; None when singular.
 
     Singularity is a value outcome here, not an error: callers decide what a
     missing inverse means for them.
@@ -233,44 +267,19 @@ def invert(m: DenseMatrix) -> DenseMatrix | None:
     if m.rows != m.cols:
         return None
     size = m.rows
-    work = m.entries
-    aug = DenseMatrix.identity(size).entries
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if not work[r][col].is_zero), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = work[col][col].inv()
-        work[col] = [e * scale for e in work[col]]
-        aug[col] = [e * scale for e in aug[col]]
-        for r in range(size):
-            if r == col or work[r][col].is_zero:
-                continue
-            f = work[r][col]
-            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return DenseMatrix(aug)
+    rows = [{**m._data.get(r, {}), size + r: _ONE} for r in range(size)]
+    if len(_reduce(rows, size)) < size:
+        return None
+    # The left half is now I; the right half is the inverse.
+    data = {
+        r: {c - size: v for c, v in row.items() if c >= size}
+        for r, row in enumerate(rows)
+    }
+    return DenseMatrix._trusted(size, size, data)
 
 
 def rank(m: DenseMatrix) -> int:
-    work = m.entries
-    r = 0
-    for col in range(m.cols):
-        pivot = next((k for k in range(r, m.rows) if not work[k][col].is_zero), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv_p = work[r][col].inv()
-        work[r] = [e * inv_p for e in work[r]]
-        for k in range(m.rows):
-            if k != r and not work[k][col].is_zero:
-                f = work[k][col]
-                work[k] = [a - f * b for a, b in zip(work[k], work[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    return len(_reduce([dict(row) for row in m._data.values()], m.cols))
 
 
 def solve_columns(
@@ -281,34 +290,18 @@ def solve_columns(
     """Solve sum_j c_j * columns[j] = target; None when inconsistent.
 
     Columns are sparse {row: value} maps over `dim` rows.  When the system is
-    underdetermined any one exact solution is returned.
+    underdetermined the solution with every free variable at zero is returned.
     """
     width = len(columns)
-    rows = [
-        [col.get(r, _ZERO) for col in columns] + [target.get(r, _ZERO)]
-        for r in range(dim)
-    ]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(width):
-        pivot = next((k for k in range(r, dim) if not rows[k][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv_p = rows[r][c].inv()
-        rows[r] = [e * inv_p for e in rows[r]]
-        for k in range(dim):
-            if k != r and not rows[k][c].is_zero:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == dim:
-            break
-    for k in range(r, dim):
-        if not rows[k][width].is_zero:
-            return None
+    rows: list[dict[int, QuadScalar]] = [{} for _ in range(dim)]
+    for c, column in enumerate([*columns, target]):
+        for r, value in column.items():
+            if not value.is_zero:
+                rows[r][c] = value
+    pivots = _reduce(rows, width)
+    if any(width in row for row in rows[len(pivots):]):
+        return None
     solution = [_ZERO] * width
-    for row_idx, col_idx in pivots:
-        solution[col_idx] = rows[row_idx][width]
+    for row, col in zip(rows, pivots):
+        solution[col] = row.get(width, _ZERO)
     return solution

@@ -21,8 +21,9 @@ from .words import E, V, GeneratorSymbol
 
 # Largest tensor space d^n the model builds.  Matrices keep only their
 # nonzeros, but a word image can still hold d^n * (number of matchings)
-# entries, and `invert` and `rank` eliminate on dense d^n x d^n copies.  The
-# test suite and the benchmark stay at or below 3^5 = 243.
+# entries, and elimination in `invert` and `rank` can fill its rows in up to
+# d^n entries each (2 d^n for the [A | I] of `invert`).  The test suite and
+# the benchmark stay at or below 3^5 = 243.
 MAX_TENSOR_DIM = 4096
 
 

@@ -34,6 +34,8 @@ from .reps import DiagramRep, MatrixRep, Rep, evaluate_expr
 from .rho import RhoParams
 from .scalars import as_scalar
 
+DEFAULT_SEED = 20260214
+
 ALGEBRA_FAMILIES: dict[str, tuple[str, ...]] = {
     "vtl": ("TLR", "VCR", "VEV", "VBR", "BGR", "vTL"),
     "wtl": ("TLR", "VCR", "VEV", "VBR", "BGR", "vTL", "F1", "FF1", "wTL1"),
@@ -98,7 +100,7 @@ class VerifyRequest:
     n: int
     params: RhoParams
     dim: int | None = None
-    seed: int = 20260214
+    seed: int = DEFAULT_SEED
     probe_samples: int | None = None
 
     def build_rep(self) -> Rep:
@@ -217,11 +219,11 @@ def _diagram_probes(request: VerifyRequest, rep: DiagramRep, samples: int) -> li
         x = AlgebraElement.from_matching(random_matching(rep.n, rng))
         y = AlgebraElement.from_matching(random_matching(rep.n, rng))
         z = AlgebraElement.from_matching(random_matching(rep.n, rng))
-        left = element_multiply(element_multiply(x, y, lam), z, lam)
+        xy = element_multiply(x, y, lam)
+        left = element_multiply(xy, z, lam)
         right = element_multiply(x, element_multiply(y, z, lam), lam)
         if left != right:
             assoc_ok = False
-        xy = element_multiply(x, y, lam)
         yx = element_multiply(y, x, lam)
         if closure_trace(xy, lam) != closure_trace(yx, lam):
             trace_ok = False

@@ -206,3 +206,92 @@ def test_product_over_q_sqrt5_matches_dense_reference(pair):
     assert got.entries == want
     assert got == DenseMatrix(want)
     assert all(not e.is_zero for _, _, e in got.nonzeros())
+
+
+# --- the elimination behind invert, rank and solve_columns, by definition ----
+
+q_entries = st.one_of(st.just(QuadScalar(0)), st.builds(QuadScalar, small_rationals))
+
+
+@st.composite
+def field_matrix(draw, rows, cols):
+    """A rows x cols matrix over Q or Q(sqrt 5): drawn entry by entry, a
+    product through a narrower inner size (so singular), or zero."""
+    entries = draw(st.sampled_from([q_entries, q5_entries]))
+
+    def dense(r, c):
+        row = st.lists(entries, min_size=c, max_size=c)
+        return DenseMatrix(draw(st.lists(row, min_size=r, max_size=r)))
+
+    kind = draw(st.sampled_from(["entries", "product", "zero"]))
+    if kind == "zero":
+        return DenseMatrix.zero(rows, cols)
+    if kind == "entries":
+        return dense(rows, cols)
+    inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    return dense(rows, inner) * dense(inner, cols)
+
+
+@st.composite
+def any_matrix(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cols = rows
+    return draw(field_matrix(rows, cols))
+
+
+def snapshot(m):
+    return {r: dict(row) for r, row in m._data.items()}
+
+
+def from_columns(columns, dim):
+    positions = {(r, j): v for j, col in enumerate(columns) for r, v in col.items()}
+    return DenseMatrix.from_entries(dim, len(columns), positions)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_matrix())
+def test_invert_is_two_sided_and_none_exactly_when_rank_is_short(a):
+    before = snapshot(a)
+    inv = invert(a)
+    r = rank(a)
+    assert snapshot(a) == before
+    assert 0 <= r <= min(a.rows, a.cols)
+    if a.rows != a.cols or r < a.rows:
+        assert inv is None
+    else:
+        identity = DenseMatrix.identity(a.rows)
+        assert a * inv == identity
+        assert inv * a == identity
+    assert rank(a.transpose()) == r
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_matrix(), st.data())
+def test_solve_columns_satisfies_its_system_or_is_inconsistent(a, data):
+    columns = [
+        {r: v for r, c, v in a.nonzeros() if c == j} for j in range(a.cols)
+    ]
+    if data.draw(st.booleans()):
+        # A combination of the columns, so the system has a solution.
+        weights = data.draw(st.lists(q_entries, min_size=a.cols, max_size=a.cols))
+        combination = a * DenseMatrix([[w] for w in weights])
+        target = {r: v for r, _, v in combination.nonzeros()}
+    else:
+        target = {r: v for r, _, v in data.draw(field_matrix(a.rows, 1)).nonzeros()}
+    before = ([dict(col) for col in columns], dict(target))
+    coeffs = solve_columns(columns, target, a.rows)
+    assert ([dict(col) for col in columns], dict(target)) == before
+    widened = rank(from_columns([*columns, target], a.rows))
+    if coeffs is None:
+        assert widened > rank(a)
+        return
+    assert widened == rank(a)
+    total = {}
+    for c, col in zip(coeffs, columns):
+        for r, v in col.items():
+            total[r] = total.get(r, QuadScalar(0)) + c * v
+    assert {r: v for r, v in total.items() if not v.is_zero} == target
+    # Free variables stay at zero: the columns used are independent.
+    used = [col for c, col in zip(coeffs, columns) if not c.is_zero]
+    assert rank(from_columns(used, a.rows)) == len(used)
