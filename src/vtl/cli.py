@@ -228,29 +228,23 @@ def _cmd_eval(args) -> int:
     else:
         rep = DiagramRep(args.n, lam)
     value = evaluate_word(word, rep, params)
-    if rep.kind == "diagram":
+    obj = lines = None
+    if args.fmt == "json":
         obj = {
             "command": "eval",
             "word": args.word,
             "n": args.n,
-            "rep": "diagram",
+            "rep": rep.kind,
             "params": params_obj(params),
-            "terms": value.to_obj(),
+            ("terms" if rep.kind == "diagram" else "matrix"): value.to_obj(),
         }
+    elif rep.kind == "diagram":
         lines = [f"{args.word}  (n={args.n}, lambda={lam})"]
         if value.is_zero:
             lines.append("= 0")
         for m, c in value.terms():
             lines.append(f"  {c}  *  {m.to_obj()}")
     else:
-        obj = {
-            "command": "eval",
-            "word": args.word,
-            "n": args.n,
-            "rep": "matrix",
-            "params": params_obj(params),
-            "matrix": value.to_obj(),
-        }
         lines = [
             f"{args.word}  (n={args.n}, d={rep.d}: {value.rows}x{value.cols} matrix)",
             f"trace = {value.trace()}",

@@ -5,6 +5,15 @@ Internally endpoint k is an integer: 0..n-1 for T1..Tn, n..2n-1 for B1..Bn.
 A diagram is a perfect matching of the 2n endpoints; virtual crossings make
 every matching admissible, not just the planar ones.
 
+A `Matching` is stored as its partner array: a tuple of length 2n whose
+entry k is the endpoint paired with k.  The array is canonical, so hashing,
+equality and order are the tuple's own.  Within one n, tuple order is the
+order of the sorted pair lists: at the first index k where two arrays
+differ, both agree on every pair with an endpoint below k, so in both k is
+the smaller end of its pair, and the pair lists first differ at (k, m[k]).
+A `Matching` equals the plain tuple of its entries; nothing in the package
+mixes the two.
+
 The product x * y stacks x above y: x's bottom row is glued to y's top row,
 the composite matching is read off the glued picture, and closed loops in the
 middle layer are counted and returned separately.
@@ -13,90 +22,68 @@ middle layer are counted and returned separately.
 from __future__ import annotations
 
 import random
-from functools import total_ordering
 
 from .errors import StrandMismatchError
 
 Pair = tuple[int, int]
 
-
-def _canonical(pairs) -> tuple[Pair, ...]:
-    return tuple(sorted((p, q) if p < q else (q, p) for p, q in pairs))
+_new = tuple.__new__
 
 
-@total_ordering
-class Matching:
-    __slots__ = ("n", "pairs", "_hash")
+class Matching(tuple):
+    __slots__ = ()
 
-    def __init__(self, n: int, pairs):
+    def __new__(cls, n: int, pairs) -> Matching:
         if n < 1:
             raise ValueError("need at least one strand")
-        pairs = _canonical(pairs)
-        seen = [False] * (2 * n)
+        partner = [-1] * (2 * n)
+        count = 0
         for p, q in pairs:
-            for e in (p, q):
+            count += 1
+            for e, f in ((p, q), (q, p)):
                 if not 0 <= e < 2 * n:
                     raise ValueError(f"endpoint {e} out of range for n={n}")
-                if seen[e]:
+                if partner[e] >= 0:
                     raise ValueError(f"endpoint {endpoint_label(e, n)} used twice")
-                seen[e] = True
-        if len(pairs) != n:
-            raise ValueError(f"expected {n} pairs, got {len(pairs)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash((n, pairs)))
+                partner[e] = f
+        if count != n:
+            raise ValueError(f"expected {n} pairs, got {count}")
+        return _new(cls, partner)
 
     @classmethod
     def _trusted(cls, n: int, pairs) -> Matching:
-        """Canonicalise pairs already known to match the 2n endpoints; no checks."""
-        return cls._sorted(n, _canonical(pairs))
+        """Wrap pairs already known to match the 2n endpoints; no checks."""
+        partner = [0] * (2 * n)
+        for p, q in pairs:
+            partner[p] = q
+            partner[q] = p
+        return _new(cls, partner)
 
-    @classmethod
-    def _sorted(cls, n: int, pairs: tuple[Pair, ...]) -> Matching:
-        """Wrap pairs that are already canonical; no checks, no sort."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "pairs", pairs)
-        object.__setattr__(out, "_hash", hash((n, pairs)))
-        return out
+    @property
+    def n(self) -> int:
+        return len(self) >> 1
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Matching is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return self.n == other.n and self.pairs == other.pairs
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return (self.n, self.pairs) < (other.n, other.pairs)
-
-    def __hash__(self):
-        # set at construction: the pairs are immutable, and every dict store
-        # or lookup of a term would otherwise rehash them
-        return self._hash
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        """The pairs (p, q), p < q, in increasing order of p."""
+        return tuple((p, q) for p, q in enumerate(self) if p < q)
 
     def __repr__(self) -> str:
+        n = self.n
         body = ", ".join(
-            f"({endpoint_label(p, self.n)},{endpoint_label(q, self.n)})"
-            for p, q in self.pairs
+            f"({endpoint_label(p, n)},{endpoint_label(q, n)})" for p, q in self.pairs
         )
-        return f"Matching(n={self.n}: {body})"
+        return f"Matching(n={n}: {body})"
 
     def partner(self, endpoint: int) -> int:
-        for p, q in self.pairs:
-            if p == endpoint:
-                return q
-            if q == endpoint:
-                return p
-        raise ValueError(f"endpoint {endpoint} not present")
+        if not 0 <= endpoint < len(self):
+            raise ValueError(f"endpoint {endpoint} not present")
+        return self[endpoint]
 
     def to_obj(self) -> list[list[str]]:
+        n = len(self) >> 1
         return [
-            [endpoint_label(p, self.n), endpoint_label(q, self.n)]
-            for p, q in self.pairs
+            [endpoint_label(p, n), endpoint_label(q, n)] for p, q in enumerate(self) if p < q
         ]
 
 
@@ -156,54 +143,55 @@ def compose(upper: Matching, lower: Matching) -> tuple[Matching, int]:
     boundary endpoint alternate layers until they exit at another boundary
     endpoint; middle components never reaching the boundary are closed loops.
     """
-    if upper.n != lower.n:
+    if len(upper) != len(lower):
         raise StrandMismatchError(f"cannot compose n={upper.n} with n={lower.n}")
-    n = upper.n
+    n = len(upper) >> 1
 
-    # Glued-picture node encoding: 0..n-1 new tops, n..2n-1 middle (upper
-    # bottoms = lower tops), 2n..3n-1 new bottoms.  Upper endpoints keep
-    # their indices; lower endpoints shift by n.
-    mid_end = 2 * n
-    up_nbr = [0] * mid_end
-    low_nbr = [0] * (3 * n)
-    for p, q in upper.pairs:
-        up_nbr[p] = q
-        up_nbr[q] = p
-    for p, q in lower.pairs:
-        low_nbr[p + n] = q + n
-        low_nbr[q + n] = p + n
-
-    # Boundary endpoints are walked in increasing order of their new label,
-    # so each path is entered at its smaller end.
-    visited = [False] * (3 * n)
-    new_pairs: list[Pair] = []
-    for start in (*range(n), *range(mid_end, 3 * n)):
-        if visited[start]:
+    # Middle node j is upper's bottom n + j and lower's top j.  A new top or
+    # bottom keeps its label: a path leaving the picture through upper ends
+    # at a top k < n, and one leaving through lower at a bottom k >= n.
+    out = [-1] * (2 * n)
+    seen = [False] * n
+    for start in range(2 * n):
+        if out[start] >= 0:
             continue
-        layer_up = start < n  # leave a new top through the upper layer
-        node = up_nbr[start] if layer_up else low_nbr[start]
-        while n <= node < mid_end:
-            visited[node] = True
-            layer_up = not layer_up
-            node = up_nbr[node] if layer_up else low_nbr[node]
-        visited[node] = True
-        new_pairs.append((start if start < n else start - n, node if node < n else node - n))
+        if start < n:
+            k = upper[start]
+        else:
+            k = lower[start]
+            if k >= n:
+                out[start] = k
+                out[k] = start
+                continue
+            seen[k] = True
+            k = upper[n + k]
+        # k is an endpoint of upper here; the path ends at a top of upper or,
+        # through the break, at a bottom of lower
+        while k >= n:
+            k -= n
+            seen[k] = True
+            k = lower[k]
+            if k >= n:
+                break
+            seen[k] = True
+            k = upper[n + k]
+        out[start] = k
+        out[k] = start
 
-    # What is left of the middle layer are closed loops.  Each is walked
+    # The middle nodes left over lie on closed loops.  Each loop is walked
     # from one node, an upper edge then a lower edge at a time, until the
     # walk is back where it began.
     loops = 0
-    for m in range(n, mid_end):
-        if visited[m]:
+    for j in range(n):
+        if seen[j]:
             continue
         loops += 1
-        node = m
-        while not visited[node]:
-            visited[node] = True
-            node = up_nbr[node]
-            visited[node] = True
-            node = low_nbr[node]
-    return Matching._trusted(n, new_pairs), loops
+        while not seen[j]:
+            seen[j] = True
+            j = upper[n + j] - n
+            seen[j] = True
+            j = lower[j]
+    return _new(Matching, out), loops
 
 
 # Kinds of the generator matchings that `apply_generator` multiplies by.
@@ -231,77 +219,56 @@ def generator_table(n: int) -> dict[Matching, tuple[str, int]]:
 def apply_generator(m: Matching, kind: str, i: int) -> tuple[Matching, int]:
     """`compose(m, g)` for a generator g of `generator_table`, on m's bottoms alone.
 
-    Below m, v_i swaps the labels B_i and B_{i+1}.  e_i joins the partners
-    of B_i and B_{i+1} and pairs B_i with B_{i+1}; when m already pairs them,
-    its cap closes a loop and m is unchanged.  The pairs of m are canonical,
-    so relabelling keeps each pair in order, and no two pairs share a first
-    endpoint, so one sort on first endpoints makes the result canonical.
+    Below m, v_i swaps the partners of B_i and B_{i+1}.  e_i joins those
+    partners and pairs B_i with B_{i+1}; when m already pairs them, its cap
+    closes a loop and m is unchanged.  Either way four entries change.
     """
     if kind == IDENTITY:
         return m, 0
-    if not 0 < i < m.n:
-        raise ValueError(f"site index {i} out of range for n={m.n}")
-    a = m.n + i - 1
-    b = a + 1
-    out = []
-    if kind == CROSS:
-        for pair in m.pairs:
-            p, q = pair
-            if q == a:
-                out.append((p, b))
-            elif q == b:
-                if p == a:
-                    return m, 0
-                out.append((p, a))
-            elif p == a:
-                out.append((b, q))
-            elif p == b:
-                out.append((a, q))
-            else:
-                out.append(pair)
-        out.sort()
-        return Matching._sorted(m.n, tuple(out)), 0
-    if kind != CUP:
+    if kind != CUP and kind != CROSS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    for pair in m.pairs:
-        p, q = pair
-        if q == a:
-            pa = p
-        elif q == b:
-            if p == a:
-                return m, 1
-            pb = p
-        elif p == a:
-            pa = q
-        elif p == b:
-            pb = q
-        else:
-            out.append(pair)
-    out.append((pa, pb) if pa < pb else (pb, pa))
-    out.append((a, b))
-    out.sort()
-    return Matching._sorted(m.n, tuple(out)), 0
+    n = len(m) >> 1
+    if not 0 < i < n:
+        raise ValueError(f"site index {i} out of range for n={n}")
+    a = n + i - 1
+    b = a + 1
+    pa = m[a]
+    pb = m[b]
+    if pa == b:
+        return m, (1 if kind == CUP else 0)
+    out = list(m)
+    if kind == CROSS:
+        out[a] = pb
+        out[pb] = a
+        out[b] = pa
+        out[pa] = b
+    else:
+        out[pa] = pb
+        out[pb] = pa
+        out[a] = b
+        out[b] = a
+    return _new(Matching, out), 0
 
 
 def closure_loops(m: Matching) -> int:
-    """Loops of the Markov closure, where T_i is joined back to B_i."""
-    n = m.n
-    parent = list(range(2 * n))
+    """Loops of the Markov closure, where T_i is joined back to B_i.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    for p, q in m.pairs:
-        union(p, q)
-    for i in range(n):
-        union(i, n + i)
-    return len({find(k) for k in range(2 * n)})
+    Every endpoint has one matching edge and one closure edge, so the
+    closed picture is a union of cycles; each is walked from its first top.
+    """
+    n = len(m) >> 1
+    seen = [False] * (2 * n)
+    loops = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        loops += 1
+        k = start
+        while not seen[k]:
+            p = m[k]
+            seen[k] = seen[p] = True
+            k = p - n if p >= n else p + n
+    return loops
 
 
 def random_matching(n: int, rng: random.Random) -> Matching:

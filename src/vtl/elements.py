@@ -8,7 +8,7 @@ produced while gluing two diagrams contributes one factor of lambda.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 
 from .diagrams import (
     Matching,
@@ -23,11 +23,7 @@ from .diagrams import (
 from .errors import StrandMismatchError
 from .scalars import ONE, ZERO, QuadScalar, as_scalar
 
-_pairs = attrgetter("pairs")
-
-
-def _term_pairs(term: tuple[Matching, QuadScalar]):
-    return term[0].pairs
+_matching = itemgetter(0)
 
 
 class AlgebraElement:
@@ -35,8 +31,8 @@ class AlgebraElement:
 
     def __init__(self, n: int, terms: dict[Matching, QuadScalar] | None = None):
         pruned: dict[Matching, QuadScalar] = {}
-        # every term shares n once the check passes, so pairs alone order them
-        for m in sorted(terms or {}, key=_pairs):
+        # every term shares n once the check passes, so matchings order as pairs
+        for m in sorted(terms or {}):
             if m.n != n:
                 raise StrandMismatchError(f"term on n={m.n} in element on n={n}")
             coeff = terms[m]
@@ -50,7 +46,7 @@ class AlgebraElement:
         """Sort and prune terms already known to lie on n strands; no strand check."""
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
-        items = sorted(terms.items(), key=_term_pairs)
+        items = sorted(terms.items(), key=_matching)
         object.__setattr__(out, "_terms", {m: c for m, c in items if not c.is_zero})
         return out
 
@@ -135,6 +131,9 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
     When every term of y is a generator matching (the identity, some e_i or
     v_i), as in every symbol image, each product is read off x's diagrams by
     `apply_generator`; otherwise each pair of diagrams is glued by `compose`.
+    On the generator path the coefficients of x that land on one diagram are
+    summed first, a closed loop weighted by lambda, and the sum is scaled by
+    the generator's coefficient once: e_i sends many diagrams to one.
     """
     if x.n != y.n:
         raise StrandMismatchError(f"cannot multiply elements on n={x.n} and n={y.n}")
@@ -148,11 +147,16 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
         factors.append((*gen, cy))
     terms: dict[Matching, QuadScalar] = {}
     for kind, site, cy in factors:
-        unit = cy == ONE
-        looped = cy * lam  # a product closes at most one loop
+        images: dict[Matching, QuadScalar] = {}
         for mx, cx in x._terms.items():
             glued, loops = apply_generator(mx, kind, site)
-            weight = cx * looped if loops else cx if unit else cx * cy
+            if loops:  # a product closes at most one loop
+                cx = cx * lam
+            prev = images.get(glued)
+            images[glued] = cx if prev is None else prev + cx
+        unit = cy == ONE
+        for glued, c in images.items():
+            weight = c if unit else c * cy
             prev = terms.get(glued)
             terms[glued] = weight if prev is None else prev + weight
     return AlgebraElement._trusted(x.n, terms)

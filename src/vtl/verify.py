@@ -281,10 +281,7 @@ def _independence_probe(rep: Rep, local_reps: dict[int, Rep]) -> dict | None:
         positions = sorted({(r, c) for m in elems for r, c, _ in m.nonzeros()})
         rows = [[m[r, c] for r, c in positions] for m in elems]
     else:
-        basis = sorted(
-            {m for elem in elems for m, _ in elem.terms()},
-            key=lambda m: m.pairs,
-        )
+        basis = sorted({m for elem in elems for m, _ in elem.terms()})
         rows = [[elem.coeff(m) for m in basis] for elem in elems]
     r = rank(DenseMatrix(rows))
     return {

@@ -171,6 +171,7 @@ def test_oversized_tensor_space_exits_two(capsys):
 
 _WORD5 = "v3 v1 r2 v1 r2^-1 r3 r1^-1 v2 r4 r1^-1 r3 r2^-1 r3 e2"
 _WORD6 = "v4 v1 r1 v3 r2^-1 r5 r4^-1 r5 r1^-1 r3 r4^-1 e5 r5 v2"
+_WORD7 = "v2 v5 r1 v3 r2^-1 r5 r4^-1 r6 r1^-1 r3 r4^-1 r5 v2 r6^-1 r2"
 
 # sha256 of the JSON stdout, computed with rational parts stored as Fractions;
 # the scalar storage may change, these bytes may not
@@ -248,6 +249,12 @@ GOLDEN = [
          "--c", "3"),
         "7668e273912171d636e5ea24e38c460d6738e52bb288f9e81bf947f13071b19e",
     ),
+    # about 11.6k terms before the closure
+    (
+        ("trace", "--word", _WORD7, "--n", "7", "--lambda", "3", "--a", "1",
+         "--b", "b_plus", "--c", "1/2"),
+        "98252f366db68e161a4f0e18b3a57d8fc56ba7b2c5535305f12ea1bc797d9e21",
+    ),
     # the benchmark's largest diagram verify size, where most placements are
     # distant commutes sharing one local shape
     (
@@ -279,7 +286,7 @@ GOLDEN = [
     ids=["eval-diagram", "eval-matrix", "eval-diagram-D=33/4", "verify-sqrt5",
          "verify-rational", "verify-matrix", "verify-utl-n6", "verify-matrix-4-2",
          "verify-matrix-4-3", "verify-wtl-n5", "eval-diagram-n5", "trace-n5",
-         "eval-diagram-n6", "trace-n6", "verify-brauer-n9-rational",
+         "eval-diagram-n6", "trace-n6", "trace-n7", "verify-brauer-n9-rational",
          "verify-brauer-n9-collapse", "verify-vtl-n9-rational",
          "verify-vtl-n9-collapse"],
 )

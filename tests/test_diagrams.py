@@ -2,7 +2,8 @@
 
 `compose_oracle` below recomputes products by union-find over the glued
 three-layer picture instead of path walking, so the two implementations can
-cross-check each other on random inputs.
+cross-check each other on random inputs; `closure_loops_oracle` does the same
+for the Markov closure.
 """
 
 import random
@@ -68,6 +69,27 @@ def compose_oracle(upper, lower):
     middle_roots = {find(k) for k in range(n, 2 * n)}
     loops = len(middle_roots - set(groups))
     return Matching(n, pairs), loops
+
+
+def closure_loops_oracle(m):
+    """Loops of the Markov closure as union-find components of the 2n endpoints."""
+    n = m.n
+    parent = list(range(2 * n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for p, q in m.pairs:
+        union(p, q)
+    for i in range(n):
+        union(i, n + i)
+    return len({find(k) for k in range(2 * n)})
 
 
 def all_matchings(n):
@@ -231,6 +253,12 @@ def test_closure_loops():
     assert closure_loops(permutation_diagram(3, [1, 2, 0])) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closure_loops_matches_union_find_oracle(n):
+    for m in all_matchings(n):
+        assert closure_loops(m) == closure_loops_oracle(m)
+
+
 def test_endpoint_labels_round_trip():
     n = 4
     for k in range(2 * n):
@@ -256,6 +284,12 @@ def test_matching_validation():
     with pytest.raises(ValueError):
         Matching(1, [(0, 7)])  # out of range
     with pytest.raises(ValueError):
+        Matching(1, [(0, 0)])  # endpoint paired with itself
+    with pytest.raises(ValueError):
+        Matching(2, [(0, 0), (1, 2)])  # a self-pair beside a valid one
+    with pytest.raises(ValueError):
+        identity_diagram(2).partner(-1)  # not an endpoint, not a tuple index
+    with pytest.raises(ValueError):
         permutation_diagram(3, [0, 0, 2])
 
 
@@ -276,6 +310,21 @@ def test_random_matching_is_valid_and_deterministic():
     assert random_matching(4, random.Random(5)) == random_matching(
         4, random.Random(5)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pairs_round_trip_and_order_matches_pair_order(n):
+    """Every matching at n (945 at n = 5): its pairs rebuild it, are in
+    canonical form, and tuple order is the order of the sorted pair lists."""
+    ms = all_matchings(n)
+    random.Random(n).shuffle(ms)
+    for m in ms:
+        pairs = m.pairs
+        assert Matching(n, pairs) == m and m.n == n and len(m) == 2 * n
+        assert all(p < q for p, q in pairs) and list(pairs) == sorted(pairs)
+        assert sorted(e for pair in pairs for e in pair) == list(range(2 * n))
+        assert all(m.partner(p) == q and m.partner(q) == p for p, q in pairs)
+    assert sorted(ms) == sorted(ms, key=lambda m: m.pairs)
 
 
 def test_ordering_and_repr():

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtl import elements
-from vtl.diagrams import compose, e_diagram, identity_diagram, random_matching, v_diagram
+from vtl.diagrams import (
+    CUP,
+    Matching,
+    apply_generator,
+    compose,
+    e_diagram,
+    identity_diagram,
+    random_matching,
+    v_diagram,
+)
 from vtl.elements import (
     AlgebraElement,
     closure_trace,
@@ -197,6 +206,38 @@ def test_generator_products_weight_loops_and_cancel(monkeypatch):
     # e (e + v) = lam e + e v, and e v = e
     shifted = element_add(e, v_element(2, 4))
     assert element_multiply(e, shifted, lam) == element_scale(lam + 1, e)
+
+
+def test_cup_factor_sums_what_lands_on_one_diagram(monkeypatch):
+    """Four diagrams of x land on e_1 under a right e_1, one closing a loop;
+    coefficients in Q(sqrt 5), alone and beside an identity term."""
+    n, lam = 3, 3
+    b = QuadScalar(Fraction(-3, 2), Fraction(1, 2), 5)  # root of b^2 + 3b + 1
+    e1 = e_diagram(1, n)
+    landing = [
+        identity_diagram(n),
+        v_diagram(1, n),
+        e1,
+        Matching(n, [(0, 1), (2, 4), (3, 5)]),  # T1-T2, T3-B2, B1-B3
+    ]
+    coeffs = [as_scalar(1), SQRT5, as_scalar(Fraction(1, 2)) - SQRT5, as_scalar(3)]
+    assert [apply_generator(m, CUP, 1) for m in landing] == [(e1, 0), (e1, 0), (e1, 1), (e1, 0)]
+    x = AlgebraElement(n, dict(zip(landing, coeffs)))
+    ys = [
+        AlgebraElement(n, {e1: b}),
+        AlgebraElement(n, {e1: b, identity_diagram(n): as_scalar(2) - SQRT5}),
+    ]
+    wants = [glued_product(x, y, lam) for y in ys]
+    assert wants[0].terms() == [(e1, b * (coeffs[0] + coeffs[1] + lam * coeffs[2] + coeffs[3]))]
+
+    def no_compose(upper, lower):
+        raise AssertionError("a generator product went through compose")
+
+    monkeypatch.setattr(elements, "compose", no_compose)
+    for y, want in zip(ys, wants):
+        got = element_multiply(x, y, lam)
+        assert got == want
+        assert got.terms() == want.terms()
 
 
 def test_identity_is_multiplicative_unit():
