@@ -28,11 +28,8 @@ from .elements import (
     AlgebraElement,
     closure_trace,
     e_element,
-    element_add,
     element_inverse,
     element_multiply,
-    element_scale,
-    element_sub,
     identity_element,
     v_element,
 )
@@ -52,7 +49,14 @@ from .relations import (
     check_relation,
     relation_instances,
 )
-from .reps import DiagramRep, MatrixRep, evaluate_expr, evaluate_word, rho_image
+from .reps import (
+    DiagramRep,
+    MatrixRep,
+    evaluate_expr,
+    evaluate_word,
+    make_rep,
+    rho_image,
+)
 from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
 from .tensorrep import (
@@ -97,11 +101,8 @@ __all__ = [
     "e_diagram",
     "e_element",
     "e_star",
-    "element_add",
     "element_inverse",
     "element_multiply",
-    "element_scale",
-    "element_sub",
     "evaluate_expr",
     "evaluate_word",
     "expand_bgr",
@@ -113,6 +114,7 @@ __all__ = [
     "identity_diagram",
     "identity_element",
     "invert",
+    "make_rep",
     "matching_from_labels",
     "matching_matrix",
     "parse_word",

@@ -26,7 +26,7 @@ from .errors import (
     WordParseError,
 )
 from .relations import params_obj
-from .reps import DiagramRep, MatrixRep, evaluate_word
+from .reps import DEFAULT_DIM, evaluate_word, make_rep
 from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
 from .verify import ALGEBRA_FAMILIES, DEFAULT_SEED, VerifyRequest, run_verify
@@ -122,7 +122,7 @@ def _resolve_lambda(args) -> QuadScalar:
     rep_kind = getattr(args, "rep", "diagram")
     dim = getattr(args, "dim", None)
     if rep_kind == "matrix":
-        d = 2 if dim is None else dim
+        d = DEFAULT_DIM if dim is None else dim
         if args.lam is not None and Fraction(args.lam) != d:
             raise DegenerateParamsError(
                 f"matrix representation forces lambda = dim = {d},"
@@ -223,10 +223,7 @@ def _cmd_eval(args) -> int:
     lam = _resolve_lambda(args)
     params = _resolve_params(args, lam)
     word = parse_word(args.word, args.n)
-    if args.rep == "matrix":
-        rep = MatrixRep(args.n, args.dim if args.dim is not None else 2)
-    else:
-        rep = DiagramRep(args.n, lam)
+    rep = make_rep(args.rep, args.n, lam, args.dim)
     value = evaluate_word(word, rep, params)
     obj = lines = None
     if args.fmt == "json":
@@ -258,7 +255,7 @@ def _cmd_trace(args) -> int:
     lam = _resolve_lambda(args)
     params = _resolve_params(args, lam)
     word = parse_word(args.word, args.n)
-    rep = DiagramRep(args.n, lam)
+    rep = make_rep("diagram", args.n, lam)
     value = evaluate_word(word, rep, params)
     tr = closure_trace(value, lam)
     obj = {

@@ -59,6 +59,9 @@ class Matching(tuple):
             partner[q] = p
         return _new(cls, partner)
 
+    def __getnewargs__(self):
+        return self.n, self.pairs
+
     @property
     def n(self) -> int:
         return len(self) >> 1

@@ -85,6 +85,28 @@ class AlgebraElement:
         body = " + ".join(f"({c}) {m!r}" for m, c in self._terms.items())
         return f"AlgebraElement(n={self.n}, {body})"
 
+    def __reduce__(self):
+        return AlgebraElement, (self.n, dict(self._terms))
+
+    def __add__(self, other: AlgebraElement) -> AlgebraElement:
+        if self.n != other.n:
+            raise StrandMismatchError(f"cannot add elements on n={self.n} and n={other.n}")
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
+            prev = terms.get(m)
+            terms[m] = c if prev is None else prev + c
+        return AlgebraElement._trusted(self.n, terms)
+
+    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
+        return self + (-other)
+
+    def __neg__(self) -> AlgebraElement:
+        return self.scale(-1)
+
+    def scale(self, s) -> AlgebraElement:
+        s = as_scalar(s)
+        return AlgebraElement._trusted(self.n, {m: s * c for m, c in self._terms.items()})
+
     def to_obj(self) -> list[dict]:
         return [
             {"matching": m.to_obj(), "coeff": c.to_obj()}
@@ -100,29 +122,6 @@ def e_element(i: int, n: int) -> AlgebraElement:
 
 def v_element(i: int, n: int) -> AlgebraElement:
     return AlgebraElement.from_matching(v_diagram(i, n))
-
-
-def element_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    if x.n != y.n:
-        raise StrandMismatchError(f"cannot add elements on n={x.n} and n={y.n}")
-    terms = dict(x._terms)
-    for m, c in y._terms.items():
-        prev = terms.get(m)
-        terms[m] = c if prev is None else prev + c
-    return AlgebraElement._trusted(x.n, terms)
-
-
-def element_scale(s, x: AlgebraElement) -> AlgebraElement:
-    s = as_scalar(s)
-    return AlgebraElement._trusted(x.n, {m: s * c for m, c in x._terms.items()})
-
-
-def element_neg(x: AlgebraElement) -> AlgebraElement:
-    return element_scale(-1, x)
-
-
-def element_sub(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return element_add(x, element_neg(y))
 
 
 def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElement:
@@ -232,9 +231,9 @@ def element_inverse(x: AlgebraElement, lam) -> AlgebraElement | None:
             c0 = coeffs[0]
             if c0.is_zero:
                 return None
-            inv = element_scale(QuadScalar(-1), powers[-1])
+            inv = -powers[-1]
             for j in range(1, len(powers)):
-                inv = element_add(inv, element_scale(coeffs[j], powers[j - 1]))
-            return element_scale(QuadScalar(-1) / c0, inv)
+                inv = inv + powers[j - 1].scale(coeffs[j])
+            return inv.scale(QuadScalar(-1) / c0)
         powers.append(nxt)
         columns.append(target)

@@ -1,25 +1,22 @@
 """Brute-force expansion of the braid relation, independent of the registry.
 
 `relations` stores the linear identity with hand-entered coefficients.  This
-module re-derives it mechanically: expand rho_i rho_{i+1} rho_i minus
-rho_{i+1} rho_i rho_{i+1} as a formal linear combination of words in four
-letters, then push every word to a normal form with a terminating rewrite
-system.  The registry entry is correct iff both normal forms coincide.
+module re-derives it mechanically: expand rho_1 rho_2 rho_1 minus
+rho_2 rho_1 rho_2 as an `Expr` in the symbols e1, e2, v1, v2, then push every
+word to a normal form with a terminating rewrite system.  The registry entry
+is correct iff both normal forms coincide.
 
-Letters (site i fixed, so plain symbols suffice):
+Rules, each oriented to decrease (length, then rank-lex with
+e1 < e2 < v1 < v2, which is `Expr`'s word order):
 
-    X = e_i   Y = e_{i+1}   u = v_i   w = v_{i+1}
+    e1 e1 -> lam e1     e2 e2 -> lam e2     v1 v1 -> 1     v2 v2 -> 1
+    e1 e2 e1 -> e1      e2 e1 e2 -> e2
+    v1 e1 -> e1 v1      v2 e2 -> e2 v2
+    v2 e1 v2 -> v1 e2 v1      v2 v1 v2 -> v1 v2 v1
+    v1 v2 e1 -> e2 v1 v2      v2 v1 e2 -> e1 v2 v1
 
-Rules, each oriented to decrease (length, then rank-lex with X < Y < u < w):
-
-    XX -> lam X     YY -> lam Y     uu -> 1      ww -> 1
-    XYX -> X        YXY -> Y
-    uX -> Xu        wY -> Yw
-    wXw -> uYu      wuw -> uwu
-    uwX -> Yuw      wuY -> Xwu
-
-The last two are consequences: conjugating uYu = wXw by u gives
-Yuw = uwX, and conjugating by w gives Xwu = wuY.
+The last two are consequences: conjugating v1 e2 v1 = v2 e1 v2 by v1 gives
+e2 v1 v2 = v1 v2 e1, and conjugating by v2 gives e1 v2 v1 = v2 v1 e2.
 
 Every rule preserves the algebra element, so equal normal forms prove
 equality.  The system is not confluent on arbitrary words (it does not need
@@ -30,108 +27,70 @@ common form.
 
 from __future__ import annotations
 
+from .expressions import Expr, Word, gen_e, gen_v
 from .relations import relation_instances
 from .rho import RhoParams
-from .scalars import QuadScalar, as_scalar
-from .words import E, V
+from .scalars import QuadScalar
+from .words import E, V, GeneratorSymbol
 
-Letter = str
-Word = tuple[Letter, ...]
-Combo = dict[Word, QuadScalar]
+E1, E2 = GeneratorSymbol(E, 1), GeneratorSymbol(E, 2)
+V1, V2 = GeneratorSymbol(V, 1), GeneratorSymbol(V, 2)
 
+# (pattern, replacement, whether the replacement carries a factor lam)
 _RULES: list[tuple[Word, Word, bool]] = [
-    (("X", "X"), ("X",), True),
-    (("Y", "Y"), ("Y",), True),
-    (("u", "u"), (), False),
-    (("w", "w"), (), False),
-    (("X", "Y", "X"), ("X",), False),
-    (("Y", "X", "Y"), ("Y",), False),
-    (("u", "X"), ("X", "u"), False),
-    (("w", "Y"), ("Y", "w"), False),
-    (("w", "X", "w"), ("u", "Y", "u"), False),
-    (("w", "u", "w"), ("u", "w", "u"), False),
-    (("u", "w", "X"), ("Y", "u", "w"), False),
-    (("w", "u", "Y"), ("X", "w", "u"), False),
+    ((E1, E1), (E1,), True),
+    ((E2, E2), (E2,), True),
+    ((V1, V1), (), False),
+    ((V2, V2), (), False),
+    ((E1, E2, E1), (E1,), False),
+    ((E2, E1, E2), (E2,), False),
+    ((V1, E1), (E1, V1), False),
+    ((V2, E2), (E2, V2), False),
+    ((V2, E1, V2), (V1, E2, V1), False),
+    ((V2, V1, V2), (V1, V2, V1), False),
+    ((V1, V2, E1), (E2, V1, V2), False),
+    ((V2, V1, E2), (E1, V2, V1), False),
 ]
 
 
-def _rewrite_once(word: Word, lam: QuadScalar):
+def _rewrite_once(word: Word) -> tuple[Word, bool] | None:
     for pos in range(len(word)):
         for pattern, repl, scaled in _RULES:
             k = len(pattern)
             if word[pos : pos + k] == pattern:
-                new = word[:pos] + repl + word[pos + k :]
-                return (lam if scaled else as_scalar(1)), new
+                return word[:pos] + repl + word[pos + k :], scaled
     return None
 
 
-def normal_form(combo: Combo, lam: QuadScalar) -> Combo:
-    out: Combo = {}
-    stack = list(combo.items())
+def normal_form(expr: Expr, lam: QuadScalar) -> Expr:
+    out: dict[Word, QuadScalar] = {}
+    stack = list(expr.terms.items())
     while stack:
         word, coeff = stack.pop()
-        step = _rewrite_once(word, lam)
+        step = _rewrite_once(word)
         if step is None:
-            total = out.get(word, as_scalar(0)) + coeff
-            if total.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = total
+            prev = out.get(word)
+            out[word] = coeff if prev is None else prev + coeff
         else:
-            factor, new_word = step
-            stack.append((new_word, coeff * factor))
-    return out
+            new_word, scaled = step
+            stack.append((new_word, coeff * lam if scaled else coeff))
+    return Expr(out)
 
 
-def combo_add(x: Combo, y: Combo, sign: int = 1) -> Combo:
-    out = dict(x)
-    s = as_scalar(sign)
-    for word, coeff in y.items():
-        total = out.get(word, as_scalar(0)) + coeff * s
-        if total.is_zero:
-            out.pop(word, None)
-        else:
-            out[word] = total
-    return out
-
-
-def combo_mul(x: Combo, y: Combo) -> Combo:
-    out: Combo = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            word = wx + wy
-            total = out.get(word, as_scalar(0)) + cx * cy
-            if total.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = total
-    return out
-
-
-def expand_bgr(params: RhoParams) -> Combo:
+def expand_bgr(params: RhoParams) -> Expr:
     """Normal form of rho_1 rho_2 rho_1 - rho_2 rho_1 rho_2, fully expanded."""
     a, b, c = params.a, params.b, params.c
-    rho1: Combo = {(): a, ("X",): b, ("u",): c}
-    rho2: Combo = {(): a, ("Y",): b, ("w",): c}
-    lhs = combo_mul(combo_mul(rho1, rho2), rho1)
-    rhs = combo_mul(combo_mul(rho2, rho1), rho2)
-    return normal_form(combo_add(lhs, rhs, -1), params.lam)
+    rho1 = Expr.one().scale(a) + gen_e(1).scale(b) + gen_v(1).scale(c)
+    rho2 = Expr.one().scale(a) + gen_e(2).scale(b) + gen_v(2).scale(c)
+    return normal_form(rho1 * rho2 * rho1 - rho2 * rho1 * rho2, params.lam)
 
 
-_LETTER = {(E, 0): "X", (E, 1): "Y", (V, 0): "u", (V, 1): "w"}
-
-
-def registry_combo(params: RhoParams) -> Combo:
-    """Normal form of the stored linear identity, translated to letters."""
+def registry_combo(params: RhoParams) -> Expr:
+    """Normal form of the stored linear identity on three strands."""
     inst = relation_instances("vTL", 3, params)[0]
-    combo: Combo = {}
-    diff = inst.lhs - inst.rhs
-    for word, coeff in diff.terms.items():
-        letters = tuple(_LETTER[(sym.kind, sym.index - inst.site)] for sym in word)
-        combo[letters] = coeff
-    return normal_form(combo, params.lam)
+    return normal_form(inst.lhs - inst.rhs, params.lam)
 
 
 def braid_matches_registry(params: RhoParams) -> bool:
-    """True iff brute expansion and registry agree as normal-form combos."""
+    """True iff brute expansion and registry agree as normal forms."""
     return expand_bgr(params) == registry_combo(params)

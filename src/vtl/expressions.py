@@ -31,6 +31,9 @@ class Expr:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Expr is immutable")
 
+    def __reduce__(self):
+        return Expr, (dict(self.terms),)
+
     @classmethod
     def zero(cls) -> Expr:
         return cls({})

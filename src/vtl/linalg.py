@@ -58,6 +58,10 @@ class DenseMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("DenseMatrix is immutable")
 
+    def __reduce__(self):
+        positions = {(r, c): value for r, c, value in self.nonzeros()}
+        return DenseMatrix.from_entries, (self.rows, self.cols, positions)
+
     @classmethod
     def zero(cls, rows: int, cols: int) -> DenseMatrix:
         return cls._trusted(rows, cols, {})

@@ -424,7 +424,7 @@ def params_obj(params: RhoParams) -> dict:
 
 
 def _residual_norm(rep: Rep, residual) -> str:
-    if rep.is_zero(residual):
+    if residual.is_zero:
         return "0"
     if rep.kind == "diagram":
         mags = [abs(c.approx()) for _, c in residual.terms()]
@@ -455,13 +455,13 @@ def check_relation(
         )
     lhs = evaluate_expr(instance.lhs, rep, params)
     rhs = evaluate_expr(instance.rhs, rep, params)
-    residual = rep.sub(lhs, rhs)
-    zero = rep.is_zero(residual)
+    residual = lhs - rhs
+    zero = residual.is_zero
     witness = None if zero else rep.witness(residual)
     groups = None
     if not zero and instance.groups:
         groups = {
-            g.name: rep.is_zero(evaluate_expr(g.weighted(), rep, params))
+            g.name: evaluate_expr(g.weighted(), rep, params).is_zero
             for g in instance.groups
         }
     return CheckReport(

@@ -2,7 +2,10 @@
 
 Two representations share one small duck-typed surface: the diagram algebra
 itself (elements are AlgebraElement) and the tensor-space matrix model
-(elements are DenseMatrix, with lambda = d).
+(elements are DenseMatrix, with lambda = d).  Elements of both carry their
+own linear arithmetic (`+`, `-`, `.scale(s)`, `.is_zero`), so a rep supplies
+only what differs between the two: `one`, `zero`, `e`, `v`, `mul`, `invert`
+and `witness`.
 """
 
 from __future__ import annotations
@@ -10,11 +13,8 @@ from __future__ import annotations
 from .elements import (
     AlgebraElement,
     e_element,
-    element_add,
     element_inverse,
     element_multiply,
-    element_scale,
-    element_sub,
     identity_element,
     v_element,
 )
@@ -52,18 +52,6 @@ class DiagramRep:
 
     def mul(self, x, y):
         return element_multiply(x, y, self.lam)
-
-    def add(self, x, y):
-        return element_add(x, y)
-
-    def sub(self, x, y):
-        return element_sub(x, y)
-
-    def scale(self, s, x):
-        return element_scale(s, x)
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero
 
     def invert(self, x):
         return element_inverse(x, self.lam)
@@ -110,18 +98,6 @@ class MatrixRep:
     def mul(self, x, y):
         return x * y
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def scale(self, s, x):
-        return x.scale(s)
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero
-
     def invert(self, x):
         return invert(x)
 
@@ -133,11 +109,22 @@ class MatrixRep:
 
 Rep = DiagramRep | MatrixRep
 
+DEFAULT_DIM = 2
+
+
+def make_rep(kind: str, n: int, lam, dim: int | None = None) -> Rep:
+    """The `kind` ("diagram" or "matrix") rep on n strands.
+
+    The diagram rep takes the loop value `lam`; the matrix rep's loop value
+    is its local dimension `dim`, DEFAULT_DIM when None.
+    """
+    if kind == "matrix":
+        return MatrixRep(n, DEFAULT_DIM if dim is None else dim)
+    return DiagramRep(n, lam)
+
 
 def rho_image(rep: Rep, i: int, params: RhoParams):
-    out = rep.scale(params.a, rep.one())
-    out = rep.add(out, rep.scale(params.b, rep.e(i)))
-    return rep.add(out, rep.scale(params.c, rep.v(i)))
+    return rep.one().scale(params.a) + rep.e(i).scale(params.b) + rep.v(i).scale(params.c)
 
 
 def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None):
@@ -187,5 +174,5 @@ def evaluate_expr(expr: Expr, rep: Rep, params: RhoParams | None = None):
     images = {}
     for word, coeff in expr.terms.items():
         value = evaluate_word(word, rep, params, images)
-        total = rep.add(total, rep.scale(coeff, value))
+        total = total + value.scale(coeff)
     return total

@@ -91,6 +91,9 @@ class QuadScalar:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuadScalar is immutable")
 
+    def __reduce__(self):
+        return QuadScalar, (self.x, self.y, self.D)
+
     @classmethod
     def rational(cls, q: RationalLike) -> QuadScalar:
         return cls(Fraction(q))

@@ -30,7 +30,7 @@ from .relations import (
     params_obj,
     placements,
 )
-from .reps import DiagramRep, MatrixRep, Rep, evaluate_expr
+from .reps import DiagramRep, MatrixRep, Rep, evaluate_expr, make_rep
 from .rho import RhoParams
 from .scalars import as_scalar
 
@@ -103,11 +103,6 @@ class VerifyRequest:
     seed: int = DEFAULT_SEED
     probe_samples: int | None = None
 
-    def build_rep(self) -> Rep:
-        if self.rep_kind == "matrix":
-            return MatrixRep(self.n, self.dim if self.dim is not None else 2)
-        return DiagramRep(self.n, self.params.lam)
-
 
 def _auto_samples(rep: Rep) -> int:
     if rep.kind == "diagram":
@@ -126,11 +121,7 @@ def _rep_on(rep: Rep, k: int, local_reps: dict[int, Rep]) -> Rep:
         return rep
     out = local_reps.get(k)
     if out is None:
-        if rep.kind == "matrix":
-            out = MatrixRep(k, rep.d)
-        else:
-            out = DiagramRep(k, rep.lam)
-        local_reps[k] = out
+        out = local_reps[k] = make_rep(rep.kind, k, rep.lam, getattr(rep, "d", None))
     return out
 
 
@@ -275,7 +266,7 @@ def _independence_probe(rep: Rep, local_reps: dict[int, Rep]) -> dict | None:
     if rep.n < 3:
         return None
     rep = _rep_on(rep, 3, local_reps)
-    elems = [rep.sub(rep.v(1), rep.v(2))]
+    elems = [rep.v(1) - rep.v(2)]
     elems += [evaluate_expr(f_word_expr(j, 1), rep) for j in range(3)]
     if rep.kind == "matrix":
         positions = sorted({(r, c) for m in elems for r, c, _ in m.nonzeros()})
@@ -297,7 +288,7 @@ def run_verify(request: VerifyRequest) -> dict:
     if request.algebra not in ALGEBRA_FAMILIES:
         known = ", ".join(sorted(ALGEBRA_FAMILIES))
         raise ValueError(f"unknown algebra {request.algebra!r} (known: {known})")
-    rep = request.build_rep()
+    rep = make_rep(request.rep_kind, request.n, request.params.lam, request.dim)
     local_reps: dict[int, Rep] = {}
     checks = _run_checks(request, rep, local_reps)
     samples = (

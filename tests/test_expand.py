@@ -6,69 +6,64 @@ from hypothesis import given, settings, strategies as st
 
 from vtl.expand import (
     braid_matches_registry,
-    combo_add,
-    combo_mul,
     expand_bgr,
     normal_form,
     registry_combo,
 )
+from vtl.expressions import Expr
 from vtl.rho import RhoParams, solve_ab
 from vtl.scalars import QuadScalar, as_scalar
+from vtl.words import parse_word
 
 LAM = as_scalar(7)
+E1, E2, V1, V2 = parse_word("e1 e2 v1 v2", 3).symbols
 
 
-def nf(words):
-    combo = {tuple(w): as_scalar(1) for w in words}
-    return normal_form(combo, LAM)
+def w(text):
+    return parse_word(text, 3).symbols
+
+
+def nf(*texts):
+    return normal_form(Expr({w(t): as_scalar(1) for t in texts}), LAM)
 
 
 def test_letter_rules_fire():
-    assert nf(["XX"]) == {("X",): LAM}
-    assert nf(["uu"]) == {(): as_scalar(1)}
-    assert nf(["XYX"]) == {("X",): as_scalar(1)}
-    assert nf(["uX"]) == {("X", "u"): as_scalar(1)}
-    assert nf(["wXw"]) == {("u", "Y", "u"): as_scalar(1)}
+    assert nf("e1 e1") == Expr({w("e1"): LAM})
+    assert nf("v1 v1") == Expr.one()
+    assert nf("e1 e2 e1") == Expr({w("e1"): as_scalar(1)})
+    assert nf("v1 e1") == Expr({w("e1 v1"): as_scalar(1)})
+    assert nf("v2 e1 v2") == Expr({w("v1 e2 v1"): as_scalar(1)})
 
 
 def test_derived_rules_are_consequences_of_the_sandwich_move():
-    # uwX == Yuw and wuY == Xwu normalize to the same form as their partners
-    assert nf(["uwX"]) == nf(["Yuw"])
-    assert nf(["wuY"]) == nf(["Xwu"])
+    # v1 v2 e1 == e2 v1 v2 and v2 v1 e2 == e1 v2 v1 normalize to the same
+    # form as their partners
+    assert nf("v1 v2 e1") == nf("e2 v1 v2")
+    assert nf("v2 v1 e2") == nf("e1 v2 v1")
 
 
 def test_cancellation_collects_coefficients():
-    combo = {("X",): as_scalar(3), ("X", "X"): as_scalar(-1)}
-    out = normal_form(combo, LAM)
-    assert out == {("X",): as_scalar(3) - LAM}
-    gone = combo_add({("u",): as_scalar(2)}, {("u",): as_scalar(2)}, -1)
-    assert gone == {}
+    expr = Expr({w("e1"): as_scalar(3), w("e1 e1"): as_scalar(-1)})
+    assert normal_form(expr, LAM) == Expr({w("e1"): as_scalar(3) - LAM})
+    gone = Expr({w("v1 v1 v1"): as_scalar(2), w("v1"): as_scalar(-2)})
+    assert normal_form(gone, LAM).is_zero
 
 
-def test_combo_mul_concatenates():
-    x = {("X",): as_scalar(2)}
-    y = {("Y",): as_scalar(3), (): as_scalar(1)}
-    assert combo_mul(x, y) == {
-        ("X", "Y"): as_scalar(6),
-        ("X",): as_scalar(2),
-    }
-
-
-words = st.lists(st.sampled_from("XYuw"), max_size=9).map(tuple)
+words = st.lists(st.sampled_from([E1, E2, V1, V2]), max_size=9).map(tuple)
 
 
 @given(words)
 @settings(max_examples=300, deadline=None)
 def test_rewriting_terminates_heading_downhill(word):
     """Normal forms exist: every rule shortens the word or lowers it
-    lexicographically in the X < Y < u < w order, so rewriting halts."""
-    out = normal_form({word: as_scalar(1)}, LAM)
-    rank = {"X": 0, "Y": 1, "u": 2, "w": 3}
-    for w in out:
-        assert len(w) <= len(word)
-        assert (len(w), [rank[ch] for ch in w]) <= (
+    lexicographically in the e1 < e2 < v1 < v2 order, so rewriting halts."""
+    out = normal_form(Expr({word: as_scalar(1)}), LAM)
+    rank = {E1: 0, E2: 1, V1: 2, V2: 3}
+    for reduced in out.terms:
+        assert len(reduced) <= len(word)
+        assert (len(reduced), [rank[s] for s in reduced]) <= (
             len(word),
-            [rank[ch] for ch in word],
+            [rank[s] for s in word],
         )
 
 
@@ -77,21 +72,13 @@ def test_rewriting_terminates_heading_downhill(word):
 def test_rewriting_is_sound_in_diagram_algebra(word):
     """Every rule is a consequence of the defining relations, so reducing a
     word must not change its value as a diagram-algebra element."""
-    from vtl.reps import DiagramRep
+    from vtl.reps import DiagramRep, evaluate_word
 
     rep = DiagramRep(3, LAM)
-    letters = {"X": rep.e(1), "Y": rep.e(2), "u": rep.v(1), "w": rep.v(2)}
-
-    def value(w, coeff):
-        acc = rep.scale(coeff, rep.one())
-        for ch in w:
-            acc = rep.mul(acc, letters[ch])
-        return acc
-
-    before = value(word, as_scalar(1))
+    before = evaluate_word(word, rep)
     after = rep.zero()
-    for w, coeff in normal_form({word: as_scalar(1)}, LAM).items():
-        after = rep.add(after, value(w, coeff))
+    for reduced, coeff in normal_form(Expr({word: as_scalar(1)}), LAM).terms.items():
+        after = after + evaluate_word(reduced, rep).scale(coeff)
     assert before == after
 
 
@@ -120,15 +107,14 @@ def test_expansion_collapses_at_solved_parameters():
     lam = Fraction(5, 2)
     for which in (0, 1):
         p = RhoParams.make(1, solve_ab(lam)[which], 0, lam)
-        assert expand_bgr(p) == {}
+        assert expand_bgr(p).is_zero
 
 
 def test_registry_perturbation_is_detected():
     """Oracle sensitivity: scaling one stored group breaks the match."""
     p = RhoParams.make(2, 3, 5, 7)
     honest = registry_combo(p)
-    (word1,) = [w for w in honest if len(w) == 1 and w[0] == "u"]
-    broken = dict(honest)
-    broken[word1] = broken[word1] * QuadScalar(2)
-    assert broken != expand_bgr(p)
+    terms = dict(honest.terms)
+    terms[(V1,)] = terms[(V1,)] * QuadScalar(2)
+    assert Expr(terms) != expand_bgr(p)
     assert honest == expand_bgr(p)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtl.diagrams import (
     Matching,
@@ -13,7 +14,7 @@ from vtl.diagrams import (
     random_matching,
     v_diagram,
 )
-from vtl.elements import AlgebraElement, element_add, element_multiply, element_scale
+from vtl.elements import AlgebraElement, element_multiply
 from vtl.errors import StrandMismatchError
 from vtl.linalg import DenseMatrix
 from vtl.reps import evaluate_word
@@ -213,12 +214,45 @@ def test_stacking_is_a_homomorphism_with_loop_factors():
             )
 
 
+small_fractions = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def element_pairs_and_scalar(draw):
+    """Two elements on one n <= 4, a local dimension and a scalar, with
+    coefficients in Q or in Q(sqrt 5)."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [random_matching(n, rng) for _ in range(4)]
+    root_part = st.integers(-2, 2) if draw(st.booleans()) else st.just(0)
+    coeff = st.builds(lambda x, y: QuadScalar(x, y, 5), small_fractions, root_part)
+
+    def element():
+        terms = {m: draw(coeff) for m in draw(st.lists(st.sampled_from(pool), max_size=4))}
+        return AlgebraElement(n, terms)
+
+    return element(), element(), draw(st.sampled_from([2, 3])), draw(coeff)
+
+
+@given(element_pairs_and_scalar())
+@settings(max_examples=60, deadline=None)
+def test_element_operators_match_the_tensor_model(case):
+    x, y, d, s = case
+    config = RepConfig(n=x.n, d=d)
+    mx, my = rep_element(x, config), rep_element(y, config)
+    assert rep_element(x + y, config) == mx + my
+    assert rep_element(x - y, config) == mx - my
+    assert rep_element(-x, config) == -mx
+    assert rep_element(x.scale(s), config) == mx.scale(s)
+    assert (x - x).is_zero
+
+
 def test_rep_element_is_linear():
     config = RepConfig(n=3, d=2)
     rng = random.Random(43)
     x = AlgebraElement.from_matching(random_matching(3, rng))
     y = AlgebraElement.from_matching(random_matching(3, rng))
-    combo = element_add(element_scale(3, x), element_scale(-2, y))
+    combo = x.scale(3) + y.scale(-2)
     assert rep_element(combo, config) == (
         rep_element(x, config).scale(3) - rep_element(y, config).scale(2)
     )
