@@ -1,16 +1,33 @@
 """Linear combinations of matchings with exact quadratic-field coefficients.
 
-An AlgebraElement is a finite map Matching -> QuadScalar with zero terms
-pruned, so equality of elements is equality of canonical term lists.  The
-loop parameter lambda enters only through multiplication: each closed loop
-produced while gluing two diagrams contributes one factor of lambda.
+An AlgebraElement is a finite map Matching -> coefficient with zero terms
+pruned.  The loop parameter lambda enters only through multiplication: each
+closed loop produced while gluing two diagrams contributes one factor of
+lambda.
+
+Coefficients are stored as pairs of ints over one denominator per element.
+A run's scalars share one field Q(sqrt D) with D = Dn/Dd stored reduced, and
+sqrt(D) = sqrt(Dn*Dd)/Dd, so every coefficient is (p + q*sqrt(Dn*Dd))/den
+for ints p, q and the element's positive `den`.  The element's field tag is
+(Dn, Dd), or None when every q is 0: a rational element combines with any
+field, and two different tags raise FieldMismatchError.  Arithmetic runs on
+the ints alone and divides by the gcd of `den` and all the ints once per
+result, so each element has one stored form and `==` and `hash` compare it
+directly.  QuadScalars appear only at the boundary: the constructor and
+`.scale` take them, and `terms`, `coeff`, `to_obj` and `closure_trace`
+give them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 
 from .diagrams import (
+    CROSS,
+    CUP,
+    IDENTITY,
     Matching,
     apply_generator,
     closure_loops,
@@ -20,34 +37,77 @@ from .diagrams import (
     identity_diagram,
     v_diagram,
 )
-from .errors import StrandMismatchError
-from .scalars import ONE, ZERO, QuadScalar, as_scalar
+from .errors import FieldMismatchError, StrandMismatchError
+from .scalars import ONE, ZERO, QuadScalar, _make, as_scalar
 
-_matching = itemgetter(0)
+Field = tuple[int, int] | None  # (Dn, Dd) of the coefficients' sqrt(D), None if rational
+
+_first = itemgetter(0)
+
+
+def _split(s: QuadScalar) -> tuple[int, int, int, Field]:
+    """s as (p, q, den, field), s = (p + q*sqrt(Dn*Dd))/den in lowest terms."""
+    if not s.yn:
+        return s.xn, 0, s.xd, None
+    yd = s.yd * s.Dd
+    den = lcm(s.xd, yd)
+    p, q = s.xn * (den // s.xd), s.yn * (den // yd)
+    g = gcd(p, q, den)
+    return p // g, q // g, den // g, (s.Dn, s.Dd)
+
+
+def _scalar(p: int, q: int, den: int, field: Field) -> QuadScalar:
+    """(p + q*sqrt(Dn*Dd))/den as a QuadScalar; the ints need not be reduced."""
+    g = gcd(p, den)
+    if not q:
+        return _make(p // g, den // g, 0, 1, 0, 1)
+    Dn, Dd = field
+    yn = q * Dd
+    h = gcd(yn, den)
+    return _make(p // g, den // g, yn // h, den // h, Dn, Dd)
+
+
+def _join(f: Field, g: Field) -> Field:
+    """The field both tags lie in; None (rational) joins any field."""
+    if f is None:
+        return g
+    if g is None or f == g:
+        return f
+    raise FieldMismatchError(
+        f"cannot combine scalars over sqrt({Fraction(*f)}) and sqrt({Fraction(*g)})"
+    )
+
+
+def _radicand(field: Field) -> int:
+    """Dn*Dd, the integer under the stored square root; 0 when rational."""
+    return 0 if field is None else field[0] * field[1]
 
 
 class AlgebraElement:
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_den", "_field", "_terms")
 
     def __init__(self, n: int, terms: dict[Matching, QuadScalar] | None = None):
-        pruned: dict[Matching, QuadScalar] = {}
-        # every term shares n once the check passes, so matchings order as pairs
-        for m in sorted(terms or {}):
+        field = None
+        split = {}
+        for m, c in (terms or {}).items():
             if m.n != n:
                 raise StrandMismatchError(f"term on n={m.n} in element on n={n}")
-            coeff = terms[m]
-            if not coeff.is_zero:
-                pruned[m] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", pruned)
+            p, q, d, f = _split(c)
+            field = _join(field, f)
+            split[m] = p, q, d
+        den = lcm(*(d for _, _, d in split.values()))
+        pairs = {m: (p * (den // d), q * (den // d)) for m, (p, q, d) in split.items()}
+        _fill(self, n, den, field, pairs)
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[Matching, QuadScalar]) -> AlgebraElement:
-        """Sort and prune terms already known to lie on n strands; no strand check."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        items = sorted(terms.items(), key=_matching)
-        object.__setattr__(out, "_terms", {m: c for m, c in items if not c.is_zero})
+    def _trusted(cls, n: int, den: int, field: Field, terms: dict) -> AlgebraElement:
+        """The element sum(terms[m] m)/den for (p, q) pairs on n strands.
+
+        No strand check; terms are sorted, zero pairs pruned and every int
+        divided by the gcd of den and all the pairs.
+        """
+        out = _new(cls)
+        _fill(out, n, den, field, terms)
         return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -55,17 +115,20 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, n: int) -> AlgebraElement:
-        return cls(n, {})
+        return cls._trusted(n, 1, None, {})
 
     @classmethod
     def from_matching(cls, m: Matching, coeff=ONE) -> AlgebraElement:
-        return cls(m.n, {m: as_scalar(coeff)})
+        p, q, den, field = _split(as_scalar(coeff))
+        return cls._trusted(m.n, den, field, {m: (p, q)})
 
     def terms(self) -> list[tuple[Matching, QuadScalar]]:
-        return list(self._terms.items())
+        den, field = self._den, self._field
+        return [(m, _scalar(p, q, den, field)) for m, (p, q) in self._terms.items()]
 
     def coeff(self, m: Matching) -> QuadScalar:
-        return self._terms.get(m, ZERO)
+        pair = self._terms.get(m)
+        return ZERO if pair is None else _scalar(*pair, self._den, self._field)
 
     @property
     def is_zero(self) -> bool:
@@ -74,44 +137,98 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return (
+            self.n == other.n
+            and self._den == other._den
+            and self._field == other._field
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.n, tuple(self._terms.items())))
+        return hash((self.n, self._den, self._field, tuple(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return f"AlgebraElement(n={self.n}, 0)"
-        body = " + ".join(f"({c}) {m!r}" for m, c in self._terms.items())
+        body = " + ".join(f"({c}) {m!r}" for m, c in self.terms())
         return f"AlgebraElement(n={self.n}, {body})"
 
     def __reduce__(self):
-        return AlgebraElement, (self.n, dict(self._terms))
+        return AlgebraElement, (self.n, dict(self.terms()))
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         if self.n != other.n:
             raise StrandMismatchError(f"cannot add elements on n={self.n} and n={other.n}")
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        field = _join(self._field, other._field)
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        terms = {m: (p * s, q * s) for m, (p, q) in self._terms.items()}
+        for m, (p, q) in other._terms.items():
             prev = terms.get(m)
-            terms[m] = c if prev is None else prev + c
-        return AlgebraElement._trusted(self.n, terms)
+            terms[m] = (p * t, q * t) if prev is None else (prev[0] + p * t, prev[1] + q * t)
+        return AlgebraElement._trusted(self.n, den, field, terms)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         return self + (-other)
 
     def __neg__(self) -> AlgebraElement:
-        return self.scale(-1)
+        terms = {m: (-p, -q) for m, (p, q) in self._terms.items()}
+        return AlgebraElement._trusted(self.n, self._den, self._field, terms)
 
     def scale(self, s) -> AlgebraElement:
-        s = as_scalar(s)
-        return AlgebraElement._trusted(self.n, {m: s * c for m, c in self._terms.items()})
+        sp, sq, sden, sfield = _split(as_scalar(s))
+        if not self._terms or (sp == sden == 1 and not sq):
+            return self  # zero, or scaled by 1
+        field = _join(self._field, sfield)
+        root = _radicand(field)
+        terms = {
+            m: (p * sp + root * q * sq, p * sq + q * sp)
+            for m, (p, q) in self._terms.items()
+        }
+        return AlgebraElement._trusted(self.n, self._den * sden, field, terms)
 
     def to_obj(self) -> list[dict]:
-        return [
-            {"matching": m.to_obj(), "coeff": c.to_obj()}
-            for m, c in self._terms.items()
-        ]
+        return [{"matching": m.to_obj(), "coeff": c.to_obj()} for m, c in self.terms()]
+
+
+# The slots' own setters get past the immutability guard in `__setattr__`.
+_new = object.__new__
+_set_n = AlgebraElement.n.__set__
+_set_den = AlgebraElement._den.__set__
+_set_field = AlgebraElement._field.__set__
+_set_terms = AlgebraElement._terms.__set__
+
+
+def _fill(out: AlgebraElement, n: int, den: int, field: Field, terms: dict) -> None:
+    """Store terms/den on out in canonical form: sorted, no zero pair, gcd 1.
+
+    `terms` maps matchings to (p, q) tuples.
+    """
+    kept = []
+    g = den  # stays den when nothing is kept, so an empty element gets den 1
+    irrational = False
+    for item in terms.items():
+        p, q = item[1]
+        if q:
+            irrational = True
+        elif not p:
+            continue
+        kept.append(item)
+        if g != 1:
+            g = gcd(g, p, q)
+    if len(kept) > 1:
+        kept.sort(key=_first)
+    _set_n(out, n)
+    _set_den(out, den // g)
+    _set_field(out, field if irrational else None)
+    if g == 1:
+        _set_terms(out, dict(kept))
+    else:
+        _set_terms(out, {m: (p // g, q // g) for m, (p, q) in kept})
 
 
 def identity_element(n: int) -> AlgebraElement:
@@ -130,52 +247,95 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
     When every term of y is a generator matching (the identity, some e_i or
     v_i), as in every symbol image, each product is read off x's diagrams by
     `apply_generator`; otherwise each pair of diagrams is glued by `compose`.
-    On the generator path the coefficients of x that land on one diagram are
-    summed first, a closed loop weighted by lambda, and the sum is scaled by
-    the generator's coefficient once: e_i sends many diagrams to one.
+    On the generator path the coefficients of x that land on one diagram
+    under e_i are summed first, a closed loop weighted by lambda, and the sum
+    is scaled by the generator's coefficient once: e_i sends many diagrams
+    to one, while the identity and v_i send them one to one and close no
+    loop.
+
+    All of it is int arithmetic on the stored pairs: with r = Dn*Dd,
+    (a + b sqrt r)(c + d sqrt r) = (ac + r bd) + (ad + bc) sqrt r, and
+    lambda = (lp + lq sqrt r)/lden is a pair over its own denominator, so
+    the result lies over x's, y's and lambda's denominators multiplied.
     """
     if x.n != y.n:
         raise StrandMismatchError(f"cannot multiply elements on n={x.n} and n={y.n}")
-    lam = as_scalar(lam)
+    lp, lq, lden, lfield = _split(as_scalar(lam))
+    field = x._field
+    if y._field != field:
+        field = _join(field, y._field)
+    if lfield != field:
+        field = _join(field, lfield)
+    root = _radicand(field)
     table = generator_table(y.n)
     factors = []
-    for my, cy in y._terms.items():
+    for my, pair in y._terms.items():
         gen = table.get(my)
         if gen is None:
-            return AlgebraElement._trusted(x.n, _glued_terms(x, y, lam))
-        factors.append((*gen, cy))
-    terms: dict[Matching, QuadScalar] = {}
-    for kind, site, cy in factors:
-        images: dict[Matching, QuadScalar] = {}
-        for mx, cx in x._terms.items():
-            glued, loops = apply_generator(mx, kind, site)
-            if loops:  # a product closes at most one loop
-                cx = cx * lam
-            prev = images.get(glued)
-            images[glued] = cx if prev is None else prev + cx
-        unit = cy == ONE
-        for glued, c in images.items():
-            weight = c if unit else c * cy
+            den, terms = _glued_terms(x, y, lp, lq, lden, root)
+            return AlgebraElement._trusted(x.n, den, field, terms)
+        factors.append((*gen, pair))
+    terms: dict[Matching, tuple[int, int]] = {}
+    for kind, site, (cp, cq) in factors:
+        if kind == CUP:
+            images: dict[Matching, tuple[int, int]] = {}
+            for mx, (p, q) in x._terms.items():
+                glued, loops = apply_generator(mx, CUP, site)
+                if loops:  # a product closes at most one loop
+                    p, q = p * lp + root * q * lq, p * lq + q * lp
+                elif lden != 1:
+                    p, q = p * lden, q * lden
+                prev = images.get(glued)
+                images[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+        else:  # one to one and no loop closes: the weight is lden/lden
+            cp, cq = cp * lden, cq * lden
+            images = x._terms if kind == IDENTITY else {
+                apply_generator(mx, CROSS, site)[0]: pair for mx, pair in x._terms.items()
+            }
+        if not terms and cp == 1 and not cq:  # a first factor of numerator 1
+            terms = dict(images)
+            continue
+        for glued, (p, q) in images.items():
+            p, q = p * cp + root * q * cq, p * cq + q * cp
             prev = terms.get(glued)
-            terms[glued] = weight if prev is None else prev + weight
-    return AlgebraElement._trusted(x.n, terms)
+            terms[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+    return AlgebraElement._trusted(x.n, x._den * y._den * lden, field, terms)
 
 
-def _glued_terms(x: AlgebraElement, y: AlgebraElement, lam: QuadScalar) -> dict[Matching, QuadScalar]:
-    """The terms of x * y, each pair of diagrams glued by `compose`."""
-    lam_pow = [ONE]  # lam_pow[k] = lam**k, grown as more loops close
-    terms: dict[Matching, QuadScalar] = {}
-    for mx, cx in x._terms.items():
-        for my, cy in y._terms.items():
+def _loop_weight(lp: int, lq: int, lden: int, root: int, k: int, top: int) -> tuple[int, int]:
+    """lambda^k as a pair over lden^top, for k <= top."""
+    p, q = 1, 0
+    for _ in range(k):
+        p, q = p * lp + root * q * lq, p * lq + q * lp
+    s = lden ** (top - k)
+    return p * s, q * s
+
+
+def _glued_terms(x: AlgebraElement, y: AlgebraElement, lp: int, lq: int, lden: int,
+                 root: int) -> tuple[int, dict[Matching, tuple[int, int]]]:
+    """The denominator and pairs of x * y, each pair of diagrams glued by `compose`.
+
+    A closed loop alternates between the two diagrams' edges at the middle
+    row of n points, so it passes through at least two of them and one
+    product closes at most n // 2 loops; every weight lambda^k is put over
+    lden^(n // 2).
+    """
+    top = x.n // 2
+    weights = {0: (lden**top, 0)}
+    terms: dict[Matching, tuple[int, int]] = {}
+    for mx, (xp, xq) in x._terms.items():
+        for my, (yp, yq) in y._terms.items():
             glued, loops = compose(mx, my)
-            weight = cx * cy
-            if loops:
-                while len(lam_pow) <= loops:
-                    lam_pow.append(lam_pow[-1] * lam)
-                weight = weight * lam_pow[loops]
+            p, q = xp * yp + root * xq * yq, xp * yq + xq * yp
+            weight = weights.get(loops)
+            if weight is None:
+                weight = weights[loops] = _loop_weight(lp, lq, lden, root, loops, top)
+            wp, wq = weight
+            if wq or wp != 1:
+                p, q = p * wp + root * q * wq, p * wq + q * wp
             prev = terms.get(glued)
-            terms[glued] = weight if prev is None else prev + weight
-    return terms
+            terms[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+    return x._den * y._den * lden**top, terms
 
 
 def closure_trace(x: AlgebraElement, lam) -> QuadScalar:
@@ -184,16 +344,21 @@ def closure_trace(x: AlgebraElement, lam) -> QuadScalar:
     Coefficients are summed per loop count first, so each power of lambda
     multiplies once.
     """
-    lam = as_scalar(lam)
-    by_loops: dict[int, QuadScalar] = {}
-    for m, c in x._terms.items():
+    lp, lq, lden, lfield = _split(as_scalar(lam))
+    field = _join(x._field, lfield)
+    root = _radicand(field)
+    by_loops: dict[int, tuple[int, int]] = {}
+    for m, (p, q) in x._terms.items():
         k = closure_loops(m)
         prev = by_loops.get(k)
-        by_loops[k] = c if prev is None else prev + c
-    total = ZERO
-    for k in sorted(by_loops):
-        total = total + by_loops[k] * lam**k
-    return total
+        by_loops[k] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+    top = max(by_loops, default=0)
+    tp = tq = 0
+    for k, (p, q) in by_loops.items():
+        wp, wq = _loop_weight(lp, lq, lden, root, k, top)
+        tp += p * wp + root * q * wq
+        tq += p * wq + q * wp
+    return _scalar(tp, tq, x._den * lden**top, field)
 
 
 def element_inverse(x: AlgebraElement, lam) -> AlgebraElement | None:
@@ -202,7 +367,8 @@ def element_inverse(x: AlgebraElement, lam) -> AlgebraElement | None:
     Works inside the unital subalgebra generated by x: powers of x are
     accumulated until they become linearly dependent, giving the minimal
     polynomial; x is invertible exactly when its constant term is nonzero,
-    and then the inverse is read off the remaining coefficients.
+    and then the inverse is read off the remaining coefficients.  The
+    powers' coefficients enter `solve_columns` as QuadScalars.
     """
     from .linalg import solve_columns
 

@@ -105,9 +105,3 @@ def e_star(i: int) -> Expr:
     """Complementary idempotent 1 - e_i (permutation-like at lambda = 2)."""
     return Expr.one() - gen_e(i)
 
-
-def word_expr(symbols) -> Expr:
-    out = Expr.one()
-    for sym in symbols:
-        out = out * Expr.gen(sym)
-    return out

@@ -1,5 +1,14 @@
-"""Algebra elements: linear combinations of matchings."""
+"""Algebra elements: linear combinations of matchings.
 
+`element_multiply_oracle`, `glued_terms_oracle` and `closure_trace_oracle`
+below are the QuadScalar forms of the product and the trace, one scalar
+operation at a time, as `element_multiply` and `closure_trace` computed them
+before coefficients became int pairs over one denominator.  The int-pair
+arithmetic is checked against them on random elements in several fields.
+"""
+
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,8 +20,10 @@ from vtl.diagrams import (
     CUP,
     Matching,
     apply_generator,
+    closure_loops,
     compose,
     e_diagram,
+    generator_table,
     identity_diagram,
     random_matching,
     v_diagram,
@@ -26,8 +37,11 @@ from vtl.elements import (
     identity_element,
     v_element,
 )
-from vtl.errors import StrandMismatchError
-from vtl.scalars import ZERO, QuadScalar, as_scalar
+from vtl.errors import FieldMismatchError, StrandMismatchError
+from vtl.reps import DiagramRep, symbol_image
+from vtl.rho import RhoParams, solve_ab
+from vtl.scalars import ONE, ZERO, QuadScalar, as_scalar
+from vtl.words import parse_word
 
 
 def test_cupcap_square_scales_by_loop_value():
@@ -139,15 +153,77 @@ def test_trusted_results_equal_checked_construction(pair, s):
         assert all(not c.is_zero for _, c in result.terms())
 
 
-def glued_product(x, y, lam):
-    """x * y term by term through `compose`, weighting each loop by lam."""
+def element_multiply_oracle(x, y, lam):
+    """The terms of x * y in QuadScalar arithmetic, as a {matching: scalar} dict.
+
+    Generator right factors go through `apply_generator`, summing what lands
+    on one diagram before scaling it by the generator's coefficient; any
+    other right factor goes through `glued_terms_oracle`.
+    """
     lam = as_scalar(lam)
+    table = generator_table(y.n)
+    factors = []
+    for my, cy in y.terms():
+        gen = table.get(my)
+        if gen is None:
+            return glued_terms_oracle(x, y, lam)
+        factors.append((*gen, cy))
+    terms = {}
+    for kind, site, cy in factors:
+        images = {}
+        for mx, cx in x.terms():
+            glued, loops = apply_generator(mx, kind, site)
+            if loops:  # a product closes at most one loop
+                cx = cx * lam
+            prev = images.get(glued)
+            images[glued] = cx if prev is None else prev + cx
+        unit = cy == ONE
+        for glued, c in images.items():
+            weight = c if unit else c * cy
+            prev = terms.get(glued)
+            terms[glued] = weight if prev is None else prev + weight
+    return terms
+
+
+def glued_terms_oracle(x, y, lam):
+    """The terms of x * y, each pair of diagrams glued by `compose`."""
+    lam_pow = [ONE]  # lam_pow[k] = lam**k, grown as more loops close
     terms = {}
     for mx, cx in x.terms():
         for my, cy in y.terms():
             glued, loops = compose(mx, my)
-            terms[glued] = terms.get(glued, ZERO) + cx * cy * lam**loops
-    return AlgebraElement(x.n, terms)
+            weight = cx * cy
+            if loops:
+                while len(lam_pow) <= loops:
+                    lam_pow.append(lam_pow[-1] * lam)
+                weight = weight * lam_pow[loops]
+            prev = terms.get(glued)
+            terms[glued] = weight if prev is None else prev + weight
+    return terms
+
+
+def closure_trace_oracle(x, lam):
+    """Markov trace in QuadScalar arithmetic, summed per closure-loop count."""
+    lam = as_scalar(lam)
+    by_loops = {}
+    for m, c in x.terms():
+        k = closure_loops(m)
+        prev = by_loops.get(k)
+        by_loops[k] = c if prev is None else prev + c
+    total = ZERO
+    for k in sorted(by_loops):
+        total = total + by_loops[k] * lam**k
+    return total
+
+
+def canonical(terms):
+    """A {matching: scalar} dict as an element's `terms()` lists it."""
+    return sorted(((m, c) for m, c in terms.items() if not c.is_zero), key=lambda t: t[0])
+
+
+def glued_product(x, y, lam):
+    """x * y term by term through `compose`, weighting each loop by lam."""
+    return AlgebraElement(x.n, glued_terms_oracle(x, y, as_scalar(lam)))
 
 
 SQRT5 = QuadScalar.root(5)
@@ -318,3 +394,182 @@ def test_to_obj_round_readable():
             "coeff": QuadScalar(1).to_obj(),
         }
     ]
+
+
+# Coefficient fields of the oracle checks, each with a root b of
+# b^2 + lambda0 b + 1 = 0 from `solve_ab` (None for Q) and the loop values
+# used there.  Q(sqrt(33/4)) keeps its stored D = 33/4, the field of
+# `--lambda 7/2`; rational elements also meet a lambda in Q(sqrt 5).
+ORACLE_FIELDS = {
+    "Q": (None, [0, 1, 3, Fraction(5, 2), QuadScalar(1, 1, 5)]),
+    "sqrt5": (solve_ab(3)[0], [0, 3, Fraction(5, 2), QuadScalar(1, 1, 5), QuadScalar.root(5)]),
+    "sqrt33/4": (solve_ab(Fraction(7, 2))[0], [0, Fraction(7, 2), Fraction(1, 3)]),
+    "sqrt-3": (solve_ab(1)[0], [1, Fraction(-2, 3)]),
+}
+
+
+@st.composite
+def oracle_cases(draw):
+    """Two elements x, x2, a right factor y, lambda and a scalar s in one field.
+
+    y is a combination of generator matchings (the identity and e_i, v_i
+    at up to two sites) or of the general matchings that x draws from.
+    Each element comes with the {matching: scalar} dict it was built from.
+    """
+    field = draw(st.sampled_from(sorted(ORACLE_FIELDS)))
+    root, lams = ORACLE_FIELDS[field]
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rationals = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+    def coeff():
+        c = as_scalar(draw(rationals))
+        return c if root is None else c + root * draw(rationals)
+
+    def element(pool):
+        terms = {m: coeff() for m in draw(st.lists(st.sampled_from(pool), max_size=5))}
+        return AlgebraElement(n, terms), terms
+
+    pool = [random_matching(n, rng) for _ in range(3)]
+    pool += [e_diagram(i, n) for i in range(1, n)]
+    generators = [identity_diagram(n)]
+    if n > 1:
+        for i in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2)):
+            generators += [e_diagram(i, n), v_diagram(i, n)]
+    x = element(pool)
+    x2 = element(pool)
+    y = element(generators if draw(st.booleans()) else pool)
+    return pool, x, x2, y, draw(st.sampled_from(lams)), coeff()
+
+
+def assert_terms(got, want_terms):
+    """got holds exactly the scalars of want_terms, byte for byte."""
+    want = canonical(want_terms)
+    assert got.terms() == want
+    assert json.dumps(got.to_obj()) == json.dumps(
+        [{"matching": m.to_obj(), "coeff": c.to_obj()} for m, c in want]
+    )
+    rebuilt = AlgebraElement(got.n, want_terms)
+    assert got == rebuilt
+    assert hash(got) == hash(rebuilt)
+
+
+@given(oracle_cases())
+@settings(max_examples=400, deadline=None)
+def test_int_pairs_agree_with_quadscalar_oracles(case):
+    pool, (x, xt), (x2, x2t), (y, yt), lam, s = case
+    assert_terms(x, xt)
+    for m in pool:
+        assert x.coeff(m).to_obj() == xt.get(m, ZERO).to_obj()
+    sums = dict(xt)
+    diffs = dict(xt)
+    for m, c in x2t.items():
+        sums[m] = sums.get(m, ZERO) + c
+        diffs[m] = diffs.get(m, ZERO) - c
+    assert_terms(x + x2, sums)
+    assert_terms(x - x2, diffs)
+    assert_terms(-x, {m: -c for m, c in xt.items()})
+    assert_terms(x.scale(s), {m: s * c for m, c in xt.items()})
+    for right in (y, x2):
+        got = element_multiply(x, right, lam)
+        assert_terms(got, element_multiply_oracle(x, right, lam))
+        assert closure_trace(got, lam).to_obj() == closure_trace_oracle(got, lam).to_obj()
+    assert closure_trace(x, lam).to_obj() == closure_trace_oracle(x, lam).to_obj()
+
+
+SQRT3 = QuadScalar.root(3)
+
+
+def test_rational_elements_combine_with_any_field():
+    n = 3
+    e1, one = e_diagram(1, n), identity_diagram(n)
+    q = AlgebraElement(n, {e1: as_scalar(Fraction(1, 2)), one: as_scalar(2)})
+    r = AlgebraElement(n, {e1: SQRT5})
+    assert dict((q + r).terms()) == {one: as_scalar(2), e1: Fraction(1, 2) + SQRT5}
+    assert (r - q).coeff(one) == as_scalar(-2)
+    assert q.scale(SQRT5).coeff(one) == 2 * SQRT5
+    for x, y, lam in ((q, r, 3), (r, q, 3), (q, q, SQRT5), (r, r, SQRT5)):
+        assert_terms(element_multiply(x, y, lam), element_multiply_oracle(x, y, lam))
+    assert closure_trace(q, SQRT5) == closure_trace_oracle(q, SQRT5)
+
+
+def test_two_fields_raise_field_mismatch():
+    n = 3
+    e1, one = e_diagram(1, n), identity_diagram(n)
+    r5 = AlgebraElement(n, {e1: SQRT5})
+    r3 = AlgebraElement(n, {one: SQRT3})
+    with pytest.raises(FieldMismatchError):
+        r5 + r3
+    with pytest.raises(FieldMismatchError):
+        r5 - r3
+    with pytest.raises(FieldMismatchError):
+        element_multiply(r5, r3, 2)
+    with pytest.raises(FieldMismatchError):
+        element_multiply(r5, identity_element(n), SQRT3)
+    with pytest.raises(FieldMismatchError):
+        r5.scale(SQRT3)
+    with pytest.raises(FieldMismatchError):
+        closure_trace(r5, SQRT3)
+    with pytest.raises(FieldMismatchError):
+        AlgebraElement(n, {e1: SQRT5, one: SQRT3})
+
+
+def test_one_value_has_one_stored_form():
+    n = 3
+    e1, one, v2 = e_diagram(1, n), identity_diagram(n), v_diagram(2, n)
+    x = AlgebraElement(n, {e1: Fraction(3, 4) + SQRT5, one: as_scalar(Fraction(-5, 6)), v2: SQRT5})
+    routes = [
+        x.scale(2).scale(Fraction(1, 2)),
+        x.scale(SQRT5).scale(SQRT5.inv()),
+        (x + x) - x,
+        -(-x),
+        x + AlgebraElement.zero(n),
+        AlgebraElement(n, dict(x.terms())),
+        element_multiply(x, identity_element(n), Fraction(7, 3)),
+        pickle.loads(pickle.dumps(x)),
+    ]
+    for y in routes:
+        assert y == x
+        assert hash(y) == hash(x)
+        assert y.terms() == x.terms()
+    # a result whose irrational parts cancel is rational again
+    r = AlgebraElement(n, {e1: SQRT5})
+    assert r.scale(SQRT5) == AlgebraElement(n, {e1: as_scalar(5)})
+    assert hash(r.scale(SQRT5)) == hash(AlgebraElement(n, {e1: as_scalar(5)}))
+    assert (x - x) == AlgebraElement.zero(n)
+    assert hash(x - x) == hash(AlgebraElement.zero(n))
+
+
+# The n = 6 diagram word of the word_algebra benchmark: its fixed core w,
+# then w^-1, at a = 1, b = b_plus, c = 1/2 and lambda = 3.
+N6_CORE = "r1 v3 r2^-1 r5 r4^-1 r5 r1^-1 r3 r4^-1 r5 v2"
+N6_CORE_INVERSE = "v2 r5^-1 r4 r3^-1 r1 r5^-1 r4 r5^-1 r2 v3 r1^-1"
+
+
+def stored_bits(x):
+    """Bit length of the widest int an element stores."""
+    ints = [x._den] + [abs(i) for pair in x._terms.values() for i in pair]
+    return max(i.bit_length() for i in ints)
+
+
+def test_coefficients_stay_small_along_a_long_word():
+    """Every product of w w^-1 stores ints of at most 32 bits.
+
+    22 bits were measured.  Without the gcd reduction of each result the
+    widest int reaches 56 bits and the product is not stored as the identity.
+    """
+    lam = 3
+    params = RhoParams.make(1, solve_ab(lam)[0], Fraction(1, 2), lam)
+    rep = DiagramRep(6, lam)
+    images = {}
+    out = None
+    widest = 0
+    for sym in parse_word(f"{N6_CORE} {N6_CORE_INVERSE}", 6).symbols:
+        image = images.get(sym)
+        if image is None:
+            image = images[sym] = symbol_image(rep, sym, params)
+            widest = max(widest, stored_bits(image))
+        out = image if out is None else element_multiply(out, image, lam)
+        widest = max(widest, stored_bits(out))
+    assert widest <= 32
+    assert out == identity_element(6)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from vtl.expressions import Expr, e_star, gen_e, gen_rho, gen_v, word_expr
+from vtl.expressions import Expr, e_star, gen_e, gen_rho, gen_v
 from vtl.scalars import QuadScalar
 from vtl.words import E, V, GeneratorSymbol
 
@@ -47,9 +47,9 @@ def test_star_expands_to_one_minus_generator():
     assert sq.terms[(GeneratorSymbol(E, 2), GeneratorSymbol(E, 2))] == QuadScalar(1)
 
 
-def test_word_expr_builds_product():
+def test_product_of_generators_is_one_word():
     syms = (GeneratorSymbol(V, 1), GeneratorSymbol(E, 2))
-    assert word_expr(syms) == gen_v(1) * gen_e(2)
+    assert Expr({syms: QuadScalar(1)}) == gen_v(1) * gen_e(2)
 
 
 def test_terms_sorted_by_length_then_symbols():
