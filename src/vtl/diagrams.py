@@ -197,7 +197,7 @@ def compose(upper: Matching, lower: Matching) -> tuple[Matching, int]:
     return _new(Matching, out), loops
 
 
-# Kinds of the generator matchings that `apply_generator` multiplies by.
+# Kinds of the generator matchings that `generator_images` multiplies by.
 IDENTITY, CUP, CROSS = "1", "e", "v"
 
 _generator_tables: dict[int, dict[Matching, tuple[str, int]]] = {}
@@ -219,38 +219,56 @@ def generator_table(n: int) -> dict[Matching, tuple[str, int]]:
     return table
 
 
-def apply_generator(m: Matching, kind: str, i: int) -> tuple[Matching, int]:
-    """`compose(m, g)` for a generator g of `generator_table`, on m's bottoms alone.
+def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[Matching], list[int]]:
+    """`compose(m, g)` for each m in ms, g the generator (kind, i) of `generator_table`.
 
-    Below m, v_i swaps the partners of B_i and B_{i+1}.  e_i joins those
-    partners and pairs B_i with B_{i+1}; when m already pairs them, its cap
-    closes a loop and m is unchanged.  Either way four entries change.
+    Returns the glued matchings and the loops each product closes, as two
+    lists in the order of ms.  Every m is a matching on n strands.  The kind
+    and the site are checked once for the batch, then each product is read
+    off m's bottoms alone.  Below m, v_i swaps the partners of B_i and
+    B_{i+1}.  e_i joins those partners and pairs B_i with B_{i+1}; when m
+    already pairs them, its cap closes a loop and m is unchanged.  Either
+    way four entries change.  The identity's site is not looked at.
     """
     if kind == IDENTITY:
-        return m, 0
+        return list(ms), [0] * len(ms)
     if kind != CUP and kind != CROSS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    n = len(m) >> 1
     if not 0 < i < n:
         raise ValueError(f"site index {i} out of range for n={n}")
     a = n + i - 1
     b = a + 1
-    pa = m[a]
-    pb = m[b]
-    if pa == b:
-        return m, (1 if kind == CUP else 0)
-    out = list(m)
+    images = []
     if kind == CROSS:
-        out[a] = pb
-        out[pb] = a
-        out[b] = pa
-        out[pa] = b
-    else:
-        out[pa] = pb
-        out[pb] = pa
-        out[a] = b
-        out[b] = a
-    return _new(Matching, out), 0
+        for m in ms:
+            pa = m[a]
+            if pa == b:
+                images.append(m)
+                continue
+            pb = m[b]
+            w = list(m)
+            w[a] = pb
+            w[pb] = a
+            w[b] = pa
+            w[pa] = b
+            images.append(_new(Matching, w))
+        return images, [0] * len(images)
+    loops = []
+    for m in ms:
+        pa = m[a]
+        if pa == b:
+            images.append(m)
+            loops.append(1)
+            continue
+        pb = m[b]
+        w = list(m)
+        w[pa] = pb
+        w[pb] = pa
+        w[a] = b
+        w[b] = a
+        images.append(_new(Matching, w))
+        loops.append(0)
+    return images, loops
 
 
 def closure_loops(m: Matching) -> int:

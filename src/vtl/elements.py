@@ -29,10 +29,10 @@ from .diagrams import (
     CUP,
     IDENTITY,
     Matching,
-    apply_generator,
     closure_loops,
     compose,
     e_diagram,
+    generator_images,
     generator_table,
     identity_diagram,
     v_diagram,
@@ -246,12 +246,12 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
 
     When every term of y is a generator matching (the identity, some e_i or
     v_i), as in every symbol image, each product is read off x's diagrams by
-    `apply_generator`; otherwise each pair of diagrams is glued by `compose`.
-    On the generator path the coefficients of x that land on one diagram
-    under e_i are summed first, a closed loop weighted by lambda, and the sum
-    is scaled by the generator's coefficient once: e_i sends many diagrams
-    to one, while the identity and v_i send them one to one and close no
-    loop.
+    `generator_images`, all of x's diagrams in one batch per term of y;
+    otherwise each pair of diagrams is glued by `compose`.  On the generator
+    path the coefficients of x that land on one diagram under e_i are summed
+    first, a closed loop weighted by lambda, and the sum is scaled by the
+    generator's coefficient once: e_i sends many diagrams to one, while the
+    identity and v_i send them one to one and close no loop.
 
     All of it is int arithmetic on the stored pairs: with r = Dn*Dd,
     (a + b sqrt r)(c + d sqrt r) = (ac + r bd) + (ad + bc) sqrt r, and
@@ -267,20 +267,21 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
     if lfield != field:
         field = _join(field, lfield)
     root = _radicand(field)
-    table = generator_table(y.n)
+    n = x.n
+    table = generator_table(n)
     factors = []
     for my, pair in y._terms.items():
         gen = table.get(my)
         if gen is None:
             den, terms = _glued_terms(x, y, lp, lq, lden, root)
-            return AlgebraElement._trusted(x.n, den, field, terms)
-        factors.append((*gen, pair))
+            return AlgebraElement._trusted(n, den, field, terms)
+        factors.append((gen, pair))
     terms: dict[Matching, tuple[int, int]] = {}
-    for kind, site, (cp, cq) in factors:
+    for (kind, site), (cp, cq) in factors:
         if kind == CUP:
             images: dict[Matching, tuple[int, int]] = {}
-            for mx, (p, q) in x._terms.items():
-                glued, loops = apply_generator(mx, CUP, site)
+            landing, closed = generator_images(x._terms, n, CUP, site)
+            for glued, loops, (p, q) in zip(landing, closed, x._terms.values()):
                 if loops:  # a product closes at most one loop
                     p, q = p * lp + root * q * lq, p * lq + q * lp
                 elif lden != 1:
@@ -289,17 +290,17 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
                 images[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
         else:  # one to one and no loop closes: the weight is lden/lden
             cp, cq = cp * lden, cq * lden
-            images = x._terms if kind == IDENTITY else {
-                apply_generator(mx, CROSS, site)[0]: pair for mx, pair in x._terms.items()
-            }
+            images = x._terms if kind == IDENTITY else dict(
+                zip(generator_images(x._terms, n, CROSS, site)[0], x._terms.values())
+            )
         if not terms and cp == 1 and not cq:  # a first factor of numerator 1
-            terms = dict(images)
+            terms = dict(images) if images is x._terms else images  # never x's own dict
             continue
         for glued, (p, q) in images.items():
             p, q = p * cp + root * q * cq, p * cq + q * cp
             prev = terms.get(glued)
             terms[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
-    return AlgebraElement._trusted(x.n, x._den * y._den * lden, field, terms)
+    return AlgebraElement._trusted(n, x._den * y._den * lden, field, terms)
 
 
 def _loop_weight(lp: int, lq: int, lden: int, root: int, k: int, top: int) -> tuple[int, int]:

@@ -6,6 +6,12 @@ itself (elements are AlgebraElement) and the tensor-space matrix model
 own linear arithmetic (`+`, `-`, `.scale(s)`, `.is_zero`), so a rep supplies
 only what differs between the two: `one`, `zero`, `e`, `v`, `mul`, `invert`
 and `witness`.
+
+The image of `r<k>^-1` is built like that of `r<k>`, from the closed-form
+parameters of `RhoParams.inverse` at the rep's own loop value.  A rep's
+`invert` (a minimal-polynomial search in the diagram rep, Gauss-Jordan
+elimination in the matrix rep) is the general inverse, and the oracle that
+closed form is tested against.
 """
 
 from __future__ import annotations
@@ -134,13 +140,12 @@ def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None
         return rep.v(sym.index)
     if params is None:
         raise ValueError(f"symbol {sym!r} needs rho parameters")
-    image = rho_image(rep, sym.index, params)
     if sym.kind == RHO:
-        return image
-    inv = rep.invert(image)
-    if inv is None:
+        return rho_image(rep, sym.index, params)
+    inverse = params.inverse(rep.lam)
+    if inverse is None:
         raise NonInvertibleError(f"rho_{sym.index} is not invertible here")
-    return inv
+    return rho_image(rep, sym.index, inverse)
 
 
 def evaluate_word(

@@ -15,11 +15,11 @@ from vtl.diagrams import (
     CUP,
     IDENTITY,
     Matching,
-    apply_generator,
     closure_loops,
     compose,
     e_diagram,
     endpoint_label,
+    generator_images,
     generator_table,
     identity_diagram,
     matching_from_labels,
@@ -203,7 +203,8 @@ def test_compose_results_pass_validation_for_every_pair():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_apply_generator_matches_compose_for_every_matching(n):
-    """Each matching times each generator (945 x 9 products at n = 5)."""
+    """`generator_images` on all matchings at n in one batch per generator
+    (945 x 9 products at n = 5), each product against `compose`."""
     generators = [(IDENTITY, 0, identity_diagram(n))]
     for i in range(1, n):
         generators += [(CUP, i, e_diagram(i, n)), (CROSS, i, v_diagram(i, n))]
@@ -211,24 +212,32 @@ def test_apply_generator_matches_compose_for_every_matching(n):
     assert len(table) == 2 * n - 1
     for kind, i, g in generators:
         assert table[g] == (kind, i)
-    for m in all_matchings(n):
-        for kind, i, g in generators:
-            got, loops = apply_generator(m, kind, i)
+    ms = all_matchings(n)
+    for kind, i, g in generators:
+        images, closed = generator_images(ms, n, kind, i)
+        assert len(images) == len(closed) == len(ms)
+        for m, got, loops in zip(ms, images, closed):
             want, want_loops = compose(m, g)
             assert (got.pairs, loops) == (want.pairs, want_loops)
-            assert got.n == n
+            assert type(got) is Matching and got.n == n
 
 
 def test_apply_generator_closes_a_loop_only_on_a_cup():
     m = e_diagram(2, 4)
-    assert apply_generator(m, CUP, 2) == (m, 1)
-    assert apply_generator(m, CROSS, 2) == (m, 0)
-    assert apply_generator(m, CUP, 1)[1] == 0
-    with pytest.raises(ValueError, match="unknown generator kind"):
-        apply_generator(m, "x", 1)
-    for kind, i in ((CUP, 0), (CROSS, 4)):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_generator(m, kind, i)
+    other = e_diagram(1, 4)
+    assert generator_images([m], 4, CUP, 2) == ([m], [1])
+    assert generator_images([m], 4, CROSS, 2) == ([m], [0])
+    assert generator_images([m, other, m], 4, CUP, 1)[1] == [0, 1, 0]
+    assert generator_images({m: None, other: None}, 4, IDENTITY, 0) == ([m, other], [0, 0])
+    for kind, i in ((IDENTITY, 0), (CUP, 1), (CROSS, 3)):
+        assert generator_images([], 4, kind, i) == ([], [])
+    # the kind and the site are checked for the batch, even an empty one
+    for ms in ([m], []):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            generator_images(ms, 4, "x", 1)
+        for kind, i in ((CUP, 0), (CROSS, 4), (CUP, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                generator_images(ms, 4, kind, i)
 
 
 def test_stacking_is_associative_including_loops():

@@ -17,9 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from vtl import elements
 from vtl.diagrams import (
-    CUP,
     Matching,
-    apply_generator,
     closure_loops,
     compose,
     e_diagram,
@@ -156,23 +154,21 @@ def test_trusted_results_equal_checked_construction(pair, s):
 def element_multiply_oracle(x, y, lam):
     """The terms of x * y in QuadScalar arithmetic, as a {matching: scalar} dict.
 
-    Generator right factors go through `apply_generator`, summing what lands
-    on one diagram before scaling it by the generator's coefficient; any
-    other right factor goes through `glued_terms_oracle`.
+    When y's terms are all generator matchings, what lands on one diagram
+    under each of them is summed before it is scaled by that term's
+    coefficient; any other right factor goes through `glued_terms_oracle`.
+    Products of diagrams come from `compose` either way, not from the
+    generator kernel that `element_multiply` uses.
     """
     lam = as_scalar(lam)
     table = generator_table(y.n)
-    factors = []
-    for my, cy in y.terms():
-        gen = table.get(my)
-        if gen is None:
-            return glued_terms_oracle(x, y, lam)
-        factors.append((*gen, cy))
+    if any(my not in table for my, _ in y.terms()):
+        return glued_terms_oracle(x, y, lam)
     terms = {}
-    for kind, site, cy in factors:
+    for my, cy in y.terms():
         images = {}
         for mx, cx in x.terms():
-            glued, loops = apply_generator(mx, kind, site)
+            glued, loops = compose(mx, my)
             if loops:  # a product closes at most one loop
                 cx = cx * lam
             prev = images.get(glued)
@@ -290,7 +286,7 @@ def test_cup_factor_sums_what_lands_on_one_diagram(monkeypatch):
         Matching(n, [(0, 1), (2, 4), (3, 5)]),  # T1-T2, T3-B2, B1-B3
     ]
     coeffs = [as_scalar(1), SQRT5, as_scalar(Fraction(1, 2)) - SQRT5, as_scalar(3)]
-    assert [apply_generator(m, CUP, 1) for m in landing] == [(e1, 0), (e1, 0), (e1, 1), (e1, 0)]
+    assert [compose(m, e1) for m in landing] == [(e1, 0), (e1, 0), (e1, 1), (e1, 0)]
     x = AlgebraElement(n, dict(zip(landing, coeffs)))
     ys = [
         AlgebraElement(n, {e1: b}),

@@ -1,10 +1,15 @@
 """Shared representation surface for diagram and tensor models."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from vtl.cli import main
+from vtl.diagrams import Matching, random_matching
 from vtl.elements import (
+    AlgebraElement,
+    closure_trace,
     e_element,
     element_multiply,
     identity_element,
@@ -21,6 +26,7 @@ from vtl.reps import (
     symbol_image,
 )
 from vtl.rho import RhoParams, solve_ab
+from vtl.scalars import as_scalar
 from vtl.tensorrep import pstar_complement
 from vtl.words import RHO_INV, GeneratorSymbol, parse_word
 
@@ -136,9 +142,12 @@ def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
 
     word = parse_word("r1^-1 r2 r1^-1 r2^-1", 3)
     expected = rebuilt(word.symbols)
+    # each r<k>^-1 image is built from the closed-form inverse parameters
     calls = []
-    invert = rep.invert
-    monkeypatch.setattr(rep, "invert", lambda x: calls.append(x) or invert(x))
+    inverse = RhoParams.inverse
+    monkeypatch.setattr(
+        RhoParams, "inverse", lambda self, lam: calls.append(lam) or inverse(self, lam)
+    )
     assert evaluate_word(word, rep, p) == expected
     assert len(calls) == 2  # r1^-1 and r2^-1
     # the words of one expression share a table
@@ -150,3 +159,121 @@ def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
     calls.clear()
     assert evaluate_expr(expr, rep, p) == expected
     assert len(calls) == 1
+
+
+B_PLUS = solve_ab(3)[0]  # a root of b^2 + 3b + 1, in Q(sqrt 5)
+INVERTIBLE_POINTS = [
+    (1, B_PLUS, Fraction(1, 2)),
+    (2, Fraction(-1, 3), Fraction(5, 7)),
+    (Fraction(1, 2), 1, B_PLUS),
+    (1, -1, 3),
+]
+CLOSED_FORM_REPS = [
+    DiagramRep(n, lam) for n in (3, 4) for lam in (0, Fraction(5, 2), 3)
+] + [MatrixRep(3, 2), MatrixRep(3, 3)]
+
+
+@pytest.mark.parametrize(
+    "rep", CLOSED_FORM_REPS, ids=lambda r: f"{r.kind}-n{r.n}-lam{r.lam}"
+)
+def test_closed_form_inverse_matches_rep_invert(rep):
+    """x + y e_i + z v_i from `RhoParams.inverse` against the rep's own
+    `invert` (minimal polynomial or Gauss-Jordan), at every site."""
+    for a, b, c in INVERTIBLE_POINTS:
+        p = RhoParams.make(a, b, c, rep.lam)
+        inv = p.inverse(rep.lam)
+        assert inv is not None and inv.lam == rep.lam
+        for i in range(1, rep.n):
+            rho = rho_image(rep, i, p)
+            got = rho_image(rep, i, inv)
+            assert got == rep.invert(rho)
+            assert rep.mul(rho, got) == rep.one()
+            assert rep.mul(got, rho) == rep.one()
+            assert symbol_image(rep, GeneratorSymbol(RHO_INV, i), p) == got
+
+
+def test_matrix_inverse_uses_the_reps_own_loop_value():
+    """The matrix rep's loop value is d, whatever lambda the params carry."""
+    rep = MatrixRep(3, 2)
+    p = RhoParams.make(2, Fraction(-1, 3), Fraction(5, 7), 7)
+    got = symbol_image(rep, GeneratorSymbol(RHO_INV, 2), p)
+    assert got == rep.invert(rho_image(rep, 2, p))
+    assert got != rho_image(rep, 2, p.inverse(7))
+
+
+def singular_points(lam):
+    """(a, b, c) on each factor of (a + c)(a - c)(a + c + b lam), lam != 0."""
+    lam = as_scalar(lam)
+    return {
+        "a=c": (2, 1, 2),
+        "a=-c": (2, 1, -2),
+        "a+c+b*lam=0": (1, -as_scalar(2) / lam, 1),
+    }
+
+
+@pytest.mark.parametrize("locus", ["a=c", "a=-c", "a+c+b*lam=0"])
+@pytest.mark.parametrize(
+    "rep", [DiagramRep(3, Fraction(5, 2)), MatrixRep(3, 2)], ids=["diagram", "matrix"]
+)
+def test_closed_form_inverse_is_none_exactly_on_the_singular_locus(rep, locus):
+    a, b, c = singular_points(rep.lam)[locus]
+    p = RhoParams.make(a, b, c, rep.lam)
+    assert p.inverse(rep.lam) is None
+    for i in range(1, rep.n):
+        assert rep.invert(rho_image(rep, i, p)) is None
+    with pytest.raises(NonInvertibleError, match="^rho_2 is not invertible here$"):
+        evaluate_word(parse_word("r1 r2^-1", 3), rep, p)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rep", "matrix", "--dim", "2", "--a", "1", "--b", "1", "--c", "1"],
+        ["--rep", "matrix", "--dim", "3", "--a", "1", "--b", "-1", "--c", "-1"],
+        ["--lambda", "5/2", "--a", "1", "--b=-4/5", "--c", "1"],
+    ],
+    ids=["matrix-a=c", "matrix-a=-c", "diagram-a+c+b*lam=0"],
+)
+def test_eval_exits_one_on_the_singular_locus(capsys, argv):
+    code = main(["eval", "--n", "3", "--word", "r1 r2^-1", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: rho_2 is not invertible here\n"
+
+
+def placed(x: AlgebraElement, n: int) -> AlgebraElement:
+    """x on n - 1 strands as an element on n, strand n running straight through."""
+    k = n - 1
+
+    def shift(e):
+        return e if e < k else e + 1
+
+    return AlgebraElement(n, {
+        Matching(n, [(shift(p), shift(q)) for p, q in m.pairs] + [(k, 2 * n - 1)]): c
+        for m, c in x.terms()
+    })
+
+
+@pytest.mark.parametrize(
+    "a, b, c, lam",
+    [(2, Fraction(-1, 3), Fraction(5, 7), 3), (1, B_PLUS, Fraction(1, 2), 3)],
+    ids=["rational", "sqrt5"],
+)
+def test_markov_trace_of_the_inverse(a, b, c, lam):
+    """closure_trace(x rho_{n-1}^-1) = (x' lam + y' + z') closure_trace(x) for x
+    on n - 1 strands, (x', y', z') the closed-form inverse parameters."""
+    rng = random.Random(8)
+    p = RhoParams.make(a, b, c, lam)
+    inv = p.inverse(lam)
+    factor = inv.a * inv.lam + inv.b + inv.c
+    for n in (3, 4):
+        rep = DiagramRep(n, lam)
+        image = symbol_image(rep, GeneratorSymbol(RHO_INV, n - 1), p)
+        for _ in range(10):
+            x = AlgebraElement(n - 1, {
+                random_matching(n - 1, rng): as_scalar(Fraction(rng.randint(-3, 3), 2))
+                for _ in range(3)
+            })
+            got = closure_trace(element_multiply(placed(x, n), image, lam), lam)
+            assert got == factor * closure_trace(x, lam)
