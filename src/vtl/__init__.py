@@ -60,7 +60,6 @@ from .reps import (
 from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
 from .tensorrep import (
-    RepConfig,
     factor_matching,
     matching_matrix,
     perm_matrix,
@@ -87,7 +86,6 @@ __all__ = [
     "NonInvertibleError",
     "QuadScalar",
     "RelationInstance",
-    "RepConfig",
     "RhoParams",
     "StrandMismatchError",
     "VerifyRequest",

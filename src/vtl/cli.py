@@ -26,11 +26,13 @@ from .errors import (
     WordParseError,
 )
 from .relations import params_obj
-from .reps import DEFAULT_DIM, evaluate_word, make_rep
+from .reps import evaluate_word, make_rep
 from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
 from .verify import ALGEBRA_FAMILIES, DEFAULT_SEED, VerifyRequest, run_verify
 from .words import parse_word
+
+DEFAULT_DIM = 2
 
 
 def _fraction(text: str) -> Fraction:
@@ -190,7 +192,6 @@ def _cmd_verify(args) -> int:
         rep_kind=args.rep,
         n=args.n,
         params=params,
-        dim=args.dim,
         seed=args.seed,
         probe_samples=args.samples,
     )
@@ -223,7 +224,7 @@ def _cmd_eval(args) -> int:
     lam = _resolve_lambda(args)
     params = _resolve_params(args, lam)
     word = parse_word(args.word, args.n)
-    rep = make_rep(args.rep, args.n, lam, args.dim)
+    rep = make_rep(args.rep, args.n, lam)
     value = evaluate_word(word, rep, params)
     obj = lines = None
     if args.fmt == "json":
@@ -277,9 +278,27 @@ _COMMANDS = {
 }
 
 
+# Flags whose value may be a negative fraction.  argparse takes only -<digits>
+# and -<digits>.<digits> for negative numbers, so it would read the -4/5 of
+# "--b -4/5" as an option; such a value is attached as "--b=-4/5".
+_NUMBER_FLAGS = ("--a", "--b", "--c", "--lambda")
+
+
+def _attach_negative_values(argv) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return _COMMANDS[args.command](args)
     except (DegenerateParamsError, WordParseError, ValueError) as exc:

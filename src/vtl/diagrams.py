@@ -50,15 +50,6 @@ class Matching(tuple):
             raise ValueError(f"expected {n} pairs, got {count}")
         return _new(cls, partner)
 
-    @classmethod
-    def _trusted(cls, n: int, pairs) -> Matching:
-        """Wrap pairs already known to match the 2n endpoints; no checks."""
-        partner = [0] * (2 * n)
-        for p, q in pairs:
-            partner[p] = q
-            partner[q] = p
-        return _new(cls, partner)
-
     def __getnewargs__(self):
         return self.n, self.pairs
 

@@ -423,16 +423,6 @@ def params_obj(params: RhoParams) -> dict:
     }
 
 
-def _residual_norm(rep: Rep, residual) -> str:
-    if residual.is_zero:
-        return "0"
-    if rep.kind == "diagram":
-        mags = [abs(c.approx()) for _, c in residual.terms()]
-        return f"{len(mags)} terms, max |coeff| ~= {max(mags):.6g}"
-    mags = [abs(e.approx()) for _, _, e in residual.nonzeros()]
-    return f"{len(mags)} entries, max |entry| ~= {max(mags):.6g}"
-
-
 def check_relation(
     instance: RelationInstance, rep: Rep, params: RhoParams
 ) -> CheckReport:
@@ -457,7 +447,7 @@ def check_relation(
     rhs = evaluate_expr(instance.rhs, rep, params)
     residual = lhs - rhs
     zero = residual.is_zero
-    witness = None if zero else rep.witness(residual)
+    norm, witness = rep.describe(residual)
     groups = None
     if not zero and instance.groups:
         groups = {
@@ -471,7 +461,7 @@ def check_relation(
         variant=instance.variant,
         params=params,
         residual_zero=zero,
-        residual_norm=_residual_norm(rep, residual),
+        residual_norm=norm,
         witness=witness,
         groups=groups,
     )

@@ -2,10 +2,12 @@
 
 Two representations share one small duck-typed surface: the diagram algebra
 itself (elements are AlgebraElement) and the tensor-space matrix model
-(elements are DenseMatrix, with lambda = d).  Elements of both carry their
-own linear arithmetic (`+`, `-`, `.scale(s)`, `.is_zero`), so a rep supplies
-only what differs between the two: `one`, `zero`, `e`, `v`, `mul`, `invert`
-and `witness`.
+(elements are DenseMatrix).  In the tensor model P*^2 = d P*, so its loop
+value is its local dimension d; a rep carries `n`, `lam` and `d` (None in
+the diagram rep).  Elements of both carry their own linear arithmetic (`+`,
+`-`, `.scale(s)`, `.is_zero`), so a rep supplies only what differs between
+the two: `one`, `zero`, `e`, `v`, `mul`, `invert` and `describe`, which
+gives an element's norm string and witness in the rep's own terms.
 
 The image of `r<k>^-1` is built like that of `r<k>`, from the closed-form
 parameters of `RhoParams.inverse` at the rep's own loop value.  A rep's
@@ -29,6 +31,7 @@ from .expressions import Expr
 from .linalg import DenseMatrix, invert
 from .rho import RhoParams
 from .scalars import as_scalar
+from .tensorrep import MAX_TENSOR_DIM, perm_matrix, ptranspose_matrix, site_embed
 from .words import E, RHO, RHO_INV, V, GeneratorSymbol, GeneratorWord
 
 
@@ -36,6 +39,7 @@ class DiagramRep:
     """The diagram algebra on n strands at a fixed loop value lambda."""
 
     kind = "diagram"
+    d = None
 
     def __init__(self, n: int, lam):
         self.n = n
@@ -62,10 +66,15 @@ class DiagramRep:
     def invert(self, x):
         return element_inverse(x, self.lam)
 
-    def witness(self, x) -> dict | None:
-        for m, c in x.terms():
-            return {"matching": m.to_obj(), "coeff": c.to_obj()}
-        return None
+    def describe(self, x) -> tuple[str, dict | None]:
+        """x's norm string and first term, or ("0", None) when x is zero."""
+        terms = x.terms()
+        if not terms:
+            return "0", None
+        size = max(abs(c.approx()) for _, c in terms)
+        m, c = terms[0]
+        norm = f"{len(terms)} terms, max |coeff| ~= {size:.6g}"
+        return norm, {"matching": m.to_obj(), "coeff": c.to_obj()}
 
 
 class MatrixRep:
@@ -74,26 +83,27 @@ class MatrixRep:
     kind = "matrix"
 
     def __init__(self, n: int, d: int):
-        from .tensorrep import RepConfig, perm_matrix, ptranspose_matrix, site_embed
-
+        if n < 1:
+            raise ValueError("need at least one strand")
+        if d < 2:
+            raise ValueError("local dimension must be at least 2")
+        # d >= 2, so d^n >= 2^n: a large n is refused before d**n is formed.
+        if n >= MAX_TENSOR_DIM.bit_length() or d**n > MAX_TENSOR_DIM:
+            raise ValueError(
+                f"tensor space d^n = {d}^{n} exceeds the cap of"
+                f" {MAX_TENSOR_DIM} basis states"
+            )
         self.n = n
         self.d = d
-        self.config = RepConfig(n=n, d=d)
         self.lam = as_scalar(d)
-        self._dim = d**n
-        self._e = {
-            i: site_embed(ptranspose_matrix(d), i, self.config)
-            for i in range(1, n)
-        }
-        self._v = {
-            i: site_embed(perm_matrix(d), i, self.config) for i in range(1, n)
-        }
+        self._e = {i: site_embed(ptranspose_matrix(d), i, self) for i in range(1, n)}
+        self._v = {i: site_embed(perm_matrix(d), i, self) for i in range(1, n)}
 
     def one(self) -> DenseMatrix:
-        return DenseMatrix.identity(self._dim)
+        return DenseMatrix.identity(self.d**self.n)
 
     def zero(self) -> DenseMatrix:
-        return DenseMatrix.zero(self._dim, self._dim)
+        return DenseMatrix.zero(self.d**self.n, self.d**self.n)
 
     def e(self, i: int) -> DenseMatrix:
         return self._e[i]
@@ -107,25 +117,34 @@ class MatrixRep:
     def invert(self, x):
         return invert(x)
 
-    def witness(self, x) -> dict | None:
-        for r, c, entry in x.nonzeros():
-            return {"row": r, "col": c, "entry": entry.to_obj()}
-        return None
+    def describe(self, x) -> tuple[str, dict | None]:
+        """x's norm string and first nonzero entry, or ("0", None) when x is zero."""
+        entries = list(x.nonzeros())
+        if not entries:
+            return "0", None
+        size = max(abs(e.approx()) for _, _, e in entries)
+        r, c, entry = entries[0]
+        norm = f"{len(entries)} entries, max |entry| ~= {size:.6g}"
+        return norm, {"row": r, "col": c, "entry": entry.to_obj()}
 
 
 Rep = DiagramRep | MatrixRep
 
-DEFAULT_DIM = 2
 
+def make_rep(kind: str, n: int, lam) -> Rep:
+    """The `kind` ("diagram" or "matrix") rep on n strands at loop value `lam`.
 
-def make_rep(kind: str, n: int, lam, dim: int | None = None) -> Rep:
-    """The `kind` ("diagram" or "matrix") rep on n strands.
-
-    The diagram rep takes the loop value `lam`; the matrix rep's loop value
-    is its local dimension `dim`, DEFAULT_DIM when None.
+    The matrix rep's local dimension is its loop value, so there `lam` must
+    be an integer.
     """
     if kind == "matrix":
-        return MatrixRep(n, DEFAULT_DIM if dim is None else dim)
+        lam = as_scalar(lam)
+        if not lam.is_rational or lam.xd != 1:
+            raise ValueError(
+                f"the matrix rep's loop value is its local dimension d,"
+                f" an integer; got lambda={lam}"
+            )
+        return MatrixRep(n, lam.xn)
     return DiagramRep(n, lam)
 
 

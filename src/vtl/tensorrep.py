@@ -9,48 +9,25 @@ closed middle loop becomes a free index summation worth a factor d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .diagrams import Matching, identity_diagram
+from .diagrams import Matching
 from .elements import AlgebraElement
 from .errors import StrandMismatchError
 from .linalg import DenseMatrix
-from .scalars import ONE, QuadScalar
+from .scalars import ONE
 from .words import E, V, GeneratorSymbol
 
+if TYPE_CHECKING:
+    from .reps import MatrixRep
 
-# Largest tensor space d^n the model builds.  Matrices keep only their
+
+# Largest tensor space d^n that `MatrixRep` builds.  Matrices keep only their
 # nonzeros, but a word image can still hold d^n * (number of matchings)
 # entries, and elimination in `invert` and `rank` can fill its rows in up to
 # d^n entries each (2 d^n for the [A | I] of `invert`).  The test suite and
 # the benchmark stay at or below 3^5 = 243.
 MAX_TENSOR_DIM = 4096
-
-
-@dataclass(frozen=True)
-class RepConfig:
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one strand")
-        if self.d < 2:
-            raise ValueError("local dimension must be at least 2")
-        # d >= 2, so d^n >= 2^n: a large n is refused before d**n is formed.
-        if self.n >= MAX_TENSOR_DIM.bit_length() or self.d**self.n > MAX_TENSOR_DIM:
-            raise ValueError(
-                f"tensor space d^n = {self.d}^{self.n} exceeds the cap of"
-                f" {MAX_TENSOR_DIM} basis states"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
-    @property
-    def lam(self) -> QuadScalar:
-        return QuadScalar(self.d)
 
 
 def perm_matrix(d: int) -> DenseMatrix:
@@ -72,13 +49,13 @@ def pstar_complement(d: int) -> DenseMatrix:
     return DenseMatrix.identity(d * d) - ptranspose_matrix(d)
 
 
-def site_embed(op: DenseMatrix, i: int, config: RepConfig) -> DenseMatrix:
-    """Place a two-site operator on tensor positions (i, i+1), 1-based.
+def site_embed(op: DenseMatrix, i: int, rep: MatrixRep) -> DenseMatrix:
+    """Place a two-site operator on positions (i, i+1), 1-based, of rep's space.
 
     Pure index arithmetic for Id^(i-1) (x) op (x) Id^(n-i-1); no Kronecker
     products are materialised.
     """
-    n, d = config.n, config.d
+    n, d = rep.n, rep.d
     if not 1 <= i <= n - 1:
         raise ValueError(f"site index {i} out of range for n={n}")
     mid = d * d
@@ -95,10 +72,10 @@ def site_embed(op: DenseMatrix, i: int, config: RepConfig) -> DenseMatrix:
             base_c = (l * mid + mc) * right
             for r in range(right):
                 positions[(base_r + r, base_c + r)] = entry
-    return DenseMatrix.from_entries(config.dim, config.dim, positions)
+    return DenseMatrix.from_entries(d**n, d**n, positions)
 
 
-def matching_matrix(m: Matching, config: RepConfig) -> DenseMatrix:
+def matching_matrix(m: Matching, rep: MatrixRep) -> DenseMatrix:
     """Matrix of one diagram: each pair forces its two endpoint indices equal.
 
     Row index encodes the top labels (j1..jn), column the bottom labels
@@ -108,9 +85,9 @@ def matching_matrix(m: Matching, config: RepConfig) -> DenseMatrix:
     each of the d^n labelings fixes one (row, col).  On generators this
     reproduces perm/ptranspose at the site.
     """
-    if m.n != config.n:
-        raise StrandMismatchError(f"matching on n={m.n}, config n={config.n}")
-    n, d = config.n, config.d
+    if m.n != rep.n:
+        raise StrandMismatchError(f"matching on n={m.n}, rep on n={rep.n}")
+    n, d = rep.n, rep.d
     cells = [(0, 0)]
     for pair in m.pairs:
         # The place value one unit of this pair's label adds to the row and
@@ -126,18 +103,16 @@ def matching_matrix(m: Matching, config: RepConfig) -> DenseMatrix:
             for row, col in cells
             for label in range(d)
         ]
-    return DenseMatrix.from_entries(
-        config.dim, config.dim, {cell: ONE for cell in cells}
-    )
+    return DenseMatrix.from_entries(d**n, d**n, {cell: ONE for cell in cells})
 
 
-def rep_element(x: AlgebraElement, config: RepConfig) -> DenseMatrix:
+def rep_element(x: AlgebraElement, rep: MatrixRep) -> DenseMatrix:
     """Linear extension of matching_matrix to algebra elements."""
-    if x.n != config.n:
-        raise StrandMismatchError(f"element on n={x.n}, config n={config.n}")
-    total = DenseMatrix.zero(config.dim, config.dim)
+    if x.n != rep.n:
+        raise StrandMismatchError(f"element on n={x.n}, rep on n={rep.n}")
+    total = rep.zero()
     for m, coeff in x.terms():
-        total = total + matching_matrix(m, config).scale(coeff)
+        total = total + matching_matrix(m, rep).scale(coeff)
     return total
 
 

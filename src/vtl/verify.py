@@ -33,6 +33,7 @@ from .relations import (
 from .reps import DiagramRep, MatrixRep, Rep, evaluate_expr, make_rep
 from .rho import RhoParams
 from .scalars import as_scalar
+from .tensorrep import matching_matrix
 
 DEFAULT_SEED = 20260214
 
@@ -75,7 +76,7 @@ def expected_zero(
     a, b, c, lam = params.a, params.b, params.c, params.lam
     alpha = b * (a * a + a * b * lam + b * b)
     two = as_scalar(2)
-    flat = rep.kind == "matrix" and rep.d == 2
+    flat = rep.d == 2
     if family in ("vTL", "BGR", "brvtl"):
         beta = alpha + b * c * (two * a + b)
         if flat:
@@ -99,7 +100,6 @@ class VerifyRequest:
     rep_kind: str
     n: int
     params: RhoParams
-    dim: int | None = None
     seed: int = DEFAULT_SEED
     probe_samples: int | None = None
 
@@ -116,12 +116,12 @@ def _auto_samples(rep: Rep) -> int:
 
 
 def _rep_on(rep: Rep, k: int, local_reps: dict[int, Rep]) -> Rep:
-    """`rep` on k strands, with the same lambda (or d); built once per run."""
+    """`rep` on k strands, with the same lambda; built once per run."""
     if k == rep.n:
         return rep
     out = local_reps.get(k)
     if out is None:
-        out = local_reps[k] = make_rep(rep.kind, k, rep.lam, getattr(rep, "d", None))
+        out = local_reps[k] = make_rep(rep.kind, k, rep.lam)
     return out
 
 
@@ -233,16 +233,14 @@ def _diagram_probes(request: VerifyRequest, rep: DiagramRep, samples: int) -> li
 
 
 def _matrix_probes(request: VerifyRequest, rep: MatrixRep, samples: int) -> list[dict]:
-    from .tensorrep import matching_matrix
-
     rng = random.Random(request.seed)
     ok = True
     for _ in range(samples):
         x = random_matching(rep.n, rng)
         y = random_matching(rep.n, rng)
         prod, loops = compose(x, y)
-        lhs = matching_matrix(x, rep.config) * matching_matrix(y, rep.config)
-        rhs = matching_matrix(prod, rep.config).scale(rep.lam**loops)
+        lhs = matching_matrix(x, rep) * matching_matrix(y, rep)
+        rhs = matching_matrix(prod, rep).scale(rep.lam**loops)
         if lhs != rhs:
             ok = False
     return [
@@ -288,7 +286,7 @@ def run_verify(request: VerifyRequest) -> dict:
     if request.algebra not in ALGEBRA_FAMILIES:
         known = ", ".join(sorted(ALGEBRA_FAMILIES))
         raise ValueError(f"unknown algebra {request.algebra!r} (known: {known})")
-    rep = make_rep(request.rep_kind, request.n, request.params.lam, request.dim)
+    rep = make_rep(request.rep_kind, request.n, request.params.lam)
     local_reps: dict[int, Rep] = {}
     checks = _run_checks(request, rep, local_reps)
     samples = (
@@ -315,14 +313,14 @@ def run_verify(request: VerifyRequest) -> dict:
             "algebra": request.algebra,
             "rep": rep.kind,
             "n": request.n,
-            "dim": rep.d if rep.kind == "matrix" else None,
+            "dim": rep.d,
             "seed": request.seed,
             "samples": samples,
         },
         "algebra": request.algebra,
         "rep": rep.kind,
         "n": request.n,
-        "dim": rep.d if rep.kind == "matrix" else None,
+        "dim": rep.d,
         "lambda": request.params.lam.to_obj(),
         "params": params_obj(request.params),
         "seed": request.seed,

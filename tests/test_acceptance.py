@@ -28,7 +28,6 @@ from vtl import (
     AlgebraElement,
     DiagramRep,
     MatrixRep,
-    RepConfig,
     RhoParams,
     VerifyRequest,
     check_relation,
@@ -167,7 +166,7 @@ def test_diagram_to_matrix_word_homomorphism():
         word = parse_word(text, n)
         elem = evaluate_word(word, DiagramRep(n, 2))
         direct = evaluate_word(word, MatrixRep(n, 2))
-        mapped = rep_element(elem, RepConfig(n=n, d=2))
+        mapped = rep_element(elem, MatrixRep(n, 2))
         if mapped != direct:
             bad.append((k, n, text))
     ok = record(
@@ -254,9 +253,9 @@ def test_forbidden_and_complement_moves_in_diagram_algebra():
             coeffs = [c for _, c in kappa.terms()]
             if len(coeffs) != 8 or any(c not in (1, -1) for c in coeffs):
                 bad.append((n, i, "kappa is not eight +-1 terms", len(coeffs)))
-            if not rep_element(kappa, RepConfig(n=n, d=2)).is_zero:
+            if not rep_element(kappa, MatrixRep(n, 2)).is_zero:
                 bad.append((n, i, "kappa survives at d = 2"))
-            if rep_element(kappa, RepConfig(n=n, d=3)).is_zero:
+            if rep_element(kappa, MatrixRep(n, 3)).is_zero:
                 bad.append((n, i, "kappa vanishes at d = 3"))
         checked = 0
         for family in ("F1", "F2", "fstar"):

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from vtl.cli import main
+from vtl.rho import RhoParams
+from vtl.verify import VerifyRequest, run_verify
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +157,32 @@ def test_unparsable_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lambda", "two"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [("--a", "a", "-4/5"), ("--b", "b", "-4/5"), ("--c", "c", "-4/5"),
+     ("--lambda", "lambda", "-5/2")],
+)
+def test_negative_fraction_as_a_separate_argument(capsys, flag, key, value):
+    argv = ("eval", "--n", "3", "--word", "r1", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, f"{flag}={value}") == (0, out, "")
+    num, den = map(int, value.split("/"))
+    got = json.loads(out)["params"][key]
+    assert (got["x_num"], got["x_den"]) == (num, den)
+
+
+def test_matrix_verify_takes_its_dimension_from_lambda(capsys):
+    """With no dimension given, run_verify's matrix rep has d = lambda."""
+    report = run_verify(VerifyRequest("vtl", "matrix", 3, RhoParams.make(1, -1, 1, 3)))
+    code, out, _ = run_cli(
+        capsys, "verify", "--rep", "matrix", "--n", "3", "--dim", "3",
+        "--a", "1", "--b", "-1", "--c", "1", "--format", "json",
+    )
+    assert code == 0 and report["ok"] and report["dim"] == 3
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_oversized_tensor_space_exits_two(capsys):

@@ -347,5 +347,5 @@ def test_matching_is_immutable_and_hashes_by_value():
     for attr in ("n", "pairs", "_hash"):
         with pytest.raises(AttributeError):
             setattr(m, attr, None)
-    same = Matching._trusted(3, [(3, 0), (4, 1), (5, 2)])
+    same = Matching(3, [(3, 0), (4, 1), (5, 2)])
     assert same == m and hash(same) == hash(m) and len({m, same}) == 1

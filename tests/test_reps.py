@@ -22,6 +22,7 @@ from vtl.reps import (
     MatrixRep,
     evaluate_expr,
     evaluate_word,
+    make_rep,
     rho_image,
     symbol_image,
 )
@@ -85,9 +86,9 @@ def test_rho_symbols_need_params():
 
 
 def test_word_rep_strand_mismatch():
-    rep = DiagramRep(3, 2)
-    with pytest.raises(ValueError):
-        evaluate_word(parse_word("e1", 4), rep)
+    for rep in (DiagramRep(3, 2), MatrixRep(3, 2)):
+        with pytest.raises(ValueError, match="word on n=4 evaluated in rep on n=3"):
+            evaluate_word(parse_word("e1", 4), rep)
 
 
 def test_evaluate_expr_is_linear_and_multiplicative():
@@ -110,15 +111,28 @@ def test_complement_expression_evaluates_to_flat_involution():
 
 def test_witness_points_at_a_nonzero_piece():
     rep = DiagramRep(3, 2)
-    diff = rep.e(1) - rep.e(2)
-    w = rep.witness(diff)
+    norm, w = rep.describe(rep.e(1) - rep.e(2).scale(3))
+    assert norm == "2 terms, max |coeff| ~= 3"
     assert set(w) == {"matching", "coeff"}
+    assert rep.describe(rep.zero()) == ("0", None)
     m = MatrixRep(2, 2)
-    mw = m.witness(m.e(1) - m.one())
+    norm, mw = m.describe(m.e(1) - m.one())
+    # e_1 - 1 vanishes at (0, 0) and (3, 3); its nonzeros are (0, 3), (1, 1),
+    # (2, 2) and (3, 0), and the witness is the first in row-major order
+    assert norm == "4 entries, max |entry| ~= 1"
     assert set(mw) == {"row", "col", "entry"}
-    # the first nonzero in row-major order: e_1 - 1 vanishes at (0, 0)
     assert (mw["row"], mw["col"]) == (0, 3)
-    assert m.witness(m.zero()) is None
+    assert m.describe(m.zero()) == ("0", None)
+
+
+def test_matrix_rep_takes_its_dimension_from_lambda():
+    rep = make_rep("matrix", 3, 3)
+    assert (rep.n, rep.d, rep.lam) == (3, 3, as_scalar(3))
+    assert make_rep("matrix", 2, as_scalar(4)).d == 4
+    assert DiagramRep(3, 3).d is None
+    for lam in (Fraction(5, 2), solve_ab(3)[0]):
+        with pytest.raises(ValueError, match="an integer"):
+            make_rep("matrix", 3, lam)
 
 
 @pytest.mark.parametrize("rep", [DiagramRep(3, Fraction(5, 2)), MatrixRep(3, 2)])

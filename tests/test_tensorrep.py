@@ -17,12 +17,11 @@ from vtl.diagrams import (
 from vtl.elements import AlgebraElement, element_multiply
 from vtl.errors import StrandMismatchError
 from vtl.linalg import DenseMatrix
-from vtl.reps import evaluate_word
+from vtl.reps import MatrixRep, evaluate_word, rho_image
 from vtl.rho import RhoParams
 from vtl.scalars import QuadScalar
 from vtl.tensorrep import (
     MAX_TENSOR_DIM,
-    RepConfig,
     factor_matching,
     matching_matrix,
     perm_matrix,
@@ -46,13 +45,14 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(out)
 
 
-def matching_matrix_by_pairs(m, config: RepConfig) -> DenseMatrix:
+def matching_matrix_by_pairs(m, rep: MatrixRep) -> DenseMatrix:
     """All-(row, col)-pairs definition of a diagram's matrix, a test oracle.
 
     Tests each of the d^(2n) index pairs: the entry is 1 precisely when every
     pair of the matching links equal labels.
     """
-    n, d = config.n, config.d
+    n, d = rep.n, rep.d
+    size = d**n
 
     def digits(index):
         out = [0] * n
@@ -61,12 +61,12 @@ def matching_matrix_by_pairs(m, config: RepConfig) -> DenseMatrix:
         return out
 
     positions = {}
-    for row in range(config.dim):
-        for col in range(config.dim):
+    for row in range(size):
+        for col in range(size):
             labels = digits(row) + digits(col)
             if all(labels[p] == labels[q] for p, q in m.pairs):
                 positions[(row, col)] = 1
-    return DenseMatrix.from_entries(config.dim, config.dim, positions)
+    return DenseMatrix.from_entries(size, size, positions)
 
 
 def every_matching(n):
@@ -132,7 +132,7 @@ def test_complement_is_involution_exactly_at_d_two():
 
 def test_site_embed_matches_kronecker_oracle():
     for n, d in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        config = RepConfig(n=n, d=d)
+        rep = MatrixRep(n, d)
         eye = DenseMatrix.identity(d)
         for i in range(1, n):
             for op in (perm_matrix(d), ptranspose_matrix(d)):
@@ -141,76 +141,85 @@ def test_site_embed_matches_kronecker_oracle():
                     expected = kron(eye, expected)
                 for _ in range(n - i - 1):
                     expected = kron(expected, eye)
-                assert site_embed(op, i, config) == expected
+                assert site_embed(op, i, rep) == expected
 
 
 def test_site_embed_validates():
-    config = RepConfig(n=3, d=2)
+    rep = MatrixRep(3, 2)
     with pytest.raises(ValueError):
-        site_embed(perm_matrix(2), 3, config)
+        site_embed(perm_matrix(2), 3, rep)
     with pytest.raises(StrandMismatchError):
-        site_embed(perm_matrix(3), 1, config)
+        site_embed(perm_matrix(3), 1, rep)
 
 
 def test_matching_matrix_reproduces_generators():
     for n, d in ((2, 2), (3, 2), (3, 3)):
-        config = RepConfig(n=n, d=d)
-        assert matching_matrix(identity_diagram(n), config) == DenseMatrix.identity(
-            config.dim
-        )
+        rep = MatrixRep(n, d)
+        assert matching_matrix(identity_diagram(n), rep) == rep.one()
         for i in range(1, n):
-            assert matching_matrix(e_diagram(i, n), config) == site_embed(
-                ptranspose_matrix(d), i, config
+            assert matching_matrix(e_diagram(i, n), rep) == site_embed(
+                ptranspose_matrix(d), i, rep
             )
-            assert matching_matrix(v_diagram(i, n), config) == site_embed(
-                perm_matrix(d), i, config
+            assert matching_matrix(v_diagram(i, n), rep) == site_embed(
+                perm_matrix(d), i, rep
             )
 
 
 def test_matching_matrix_matches_all_pairs_oracle():
     for n in (1, 2, 3):
         for d in (2, 3):
-            config = RepConfig(n=n, d=d)
+            rep = MatrixRep(n, d)
             count = 0
             for m in every_matching(n):
-                got = matching_matrix(m, config)
-                assert got == matching_matrix_by_pairs(m, config)
+                got = matching_matrix(m, rep)
+                assert got == matching_matrix_by_pairs(m, rep)
                 assert got.nnz == d**n
                 count += 1
             assert count == {1: 1, 2: 3, 3: 15}[n]
 
 
-def test_rep_config_caps_the_tensor_space():
-    assert RepConfig(n=5, d=3).dim == 243
-    assert RepConfig(n=12, d=2).dim == MAX_TENSOR_DIM
+class _NoPower(int):
+    """A local dimension that fails the test if d**n is ever formed."""
+
+    def __pow__(self, other):
+        raise AssertionError("d**n was formed")
+
+
+def test_matrix_rep_caps_the_tensor_space():
+    assert MatrixRep(5, 3).one().rows == 243
+    assert MatrixRep(12, 2).one().rows == MAX_TENSOR_DIM
     with pytest.raises(ValueError, match="exceeds the cap"):
-        RepConfig(n=8, d=4)
+        MatrixRep(8, 4)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        RepConfig(n=13, d=2)
+        MatrixRep(13, 2)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        RepConfig(n=10**9, d=2)
+        MatrixRep(10**9, _NoPower(2))
+    with pytest.raises(ValueError, match="at least one strand"):
+        MatrixRep(0, 2)
+    with pytest.raises(ValueError, match="at least 2"):
+        MatrixRep(3, 1)
 
 
 def test_matching_matrix_permutations():
-    config = RepConfig(n=3, d=2)
+    rep = MatrixRep(3, 2)
     cycle = permutation_diagram(3, [1, 2, 0])
-    m = matching_matrix(cycle, config)
-    v1 = matching_matrix(v_diagram(1, 3), config)
-    v2 = matching_matrix(v_diagram(2, 3), config)
+    m = matching_matrix(cycle, rep)
+    v1 = matching_matrix(v_diagram(1, 3), rep)
+    v2 = matching_matrix(v_diagram(2, 3), rep)
     assert m == v2 * v1  # upper factor acts first
 
 
 def test_stacking_is_a_homomorphism_with_loop_factors():
     rng = random.Random(41)
     for n, d in ((2, 2), (3, 2), (3, 3), (4, 2)):
-        config = RepConfig(n=n, d=d)
+        rep = MatrixRep(n, d)
         lam = QuadScalar(d)
         for _ in range(15):
             x = random_matching(n, rng)
             y = random_matching(n, rng)
             glued, loops = compose(x, y)
-            assert matching_matrix(x, config) * matching_matrix(y, config) == (
-                matching_matrix(glued, config).scale(lam**loops)
+            assert matching_matrix(x, rep) * matching_matrix(y, rep) == (
+                matching_matrix(glued, rep).scale(lam**loops)
             )
 
 
@@ -238,27 +247,27 @@ def element_pairs_and_scalar(draw):
 @settings(max_examples=60, deadline=None)
 def test_element_operators_match_the_tensor_model(case):
     x, y, d, s = case
-    config = RepConfig(n=x.n, d=d)
-    mx, my = rep_element(x, config), rep_element(y, config)
-    assert rep_element(x + y, config) == mx + my
-    assert rep_element(x - y, config) == mx - my
-    assert rep_element(-x, config) == -mx
-    assert rep_element(x.scale(s), config) == mx.scale(s)
+    rep = MatrixRep(x.n, d)
+    mx, my = rep_element(x, rep), rep_element(y, rep)
+    assert rep_element(x + y, rep) == mx + my
+    assert rep_element(x - y, rep) == mx - my
+    assert rep_element(-x, rep) == -mx
+    assert rep_element(x.scale(s), rep) == mx.scale(s)
     assert (x - x).is_zero
 
 
 def test_rep_element_is_linear():
-    config = RepConfig(n=3, d=2)
+    rep = MatrixRep(3, 2)
     rng = random.Random(43)
     x = AlgebraElement.from_matching(random_matching(3, rng))
     y = AlgebraElement.from_matching(random_matching(3, rng))
     combo = x.scale(3) + y.scale(-2)
-    assert rep_element(combo, config) == (
-        rep_element(x, config).scale(3) - rep_element(y, config).scale(2)
+    assert rep_element(combo, rep) == (
+        rep_element(x, rep).scale(3) - rep_element(y, rep).scale(2)
     )
     prod = element_multiply(x, y, 2)
-    assert rep_element(prod, config) == rep_element(x, config) * rep_element(
-        y, config
+    assert rep_element(prod, rep) == rep_element(x, rep) * rep_element(
+        y, rep
     )
 
 
@@ -283,26 +292,19 @@ def test_factor_matching_reconstructs_diagram_exactly():
 
 def test_factor_matching_agrees_with_matrix_model():
     rng = random.Random(53)
-    config = RepConfig(n=3, d=2)
-    rep = None
+    rep = MatrixRep(3, 2)
     for _ in range(20):
         m = random_matching(3, rng)
         word = factor_matching(m)
-        from vtl.reps import MatrixRep
-
-        rep = rep or MatrixRep(3, 2)
-        via_word = evaluate_word(word, rep)
-        assert via_word == matching_matrix(m, config)
+        assert evaluate_word(word, rep) == matching_matrix(m, rep)
 
 
 def test_braid_image_at_two_is_the_complement():
     params = RhoParams.make(1, -1, 0, 2)
-    from vtl.reps import MatrixRep, rho_image
-
     rep = MatrixRep(2, 2)
     assert rho_image(rep, 1, params) == pstar_complement(2)
 
 
 def test_matching_matrix_strand_check():
     with pytest.raises(StrandMismatchError):
-        matching_matrix(identity_diagram(2), RepConfig(n=3, d=2))
+        matching_matrix(identity_diagram(2), MatrixRep(3, 2))

@@ -61,7 +61,7 @@ def test_expected_zero_flat_surprise_point():
     p = params_at(1, 1, -1, 2)
     assert expected_zero("vTL", p, MatrixRep(3, 2))
     assert not expected_zero("vTL", p, DiagramRep(3, 2))
-    report = run_verify(VerifyRequest("vtl", "matrix", 3, p, dim=2))
+    report = run_verify(VerifyRequest("vtl", "matrix", 3, p))
     assert report["ok"]
     assert all(c["status"] == "pass" for c in by_family(report, "vTL"))
 
@@ -125,7 +125,7 @@ def test_verify_expectations_hold_over_a_parameter_grid():
                         assert c["status"] == "pass"
                         commute_checked += 1
     for p in grid_points(Fraction(2)):
-        report = run_verify(VerifyRequest("utl", "matrix", 4, p, dim=2, probe_samples=2))
+        report = run_verify(VerifyRequest("utl", "matrix", 4, p, probe_samples=2))
         assert report["ok"], params_obj(p)
     # 0 + 1 + 3 + 6 distant pairs at n = 3..6, at 15 points
     assert commute_checked == 15 * 10
@@ -159,7 +159,7 @@ def test_run_verify_negative_controls_are_not_failures():
 
 def test_run_verify_flat_model_closes_every_gap():
     p = params_at(1, -1, 1, 2)
-    report = run_verify(VerifyRequest("utl", "matrix", 3, p, dim=2))
+    report = run_verify(VerifyRequest("utl", "matrix", 3, p))
     assert report["ok"]
     assert report["summary"]["negative_controls"] == 0
     assert report["summary"]["fail"] == 0
@@ -181,7 +181,7 @@ def test_run_verify_skips_families_needing_more_strands():
 
 
 def test_run_verify_probe_and_envelope_shape():
-    report = run_verify(VerifyRequest("vtl", "matrix", 3, solved(2), dim=2, seed=99))
+    report = run_verify(VerifyRequest("vtl", "matrix", 3, solved(2), seed=99))
     assert report["report_version"] == 1
     assert report["rep"] == "matrix"
     assert report["dim"] == 2
@@ -203,7 +203,7 @@ def test_independence_probe_sees_the_flat_model():
     except the d = 2 matrix model, where they drop to rank 3."""
     by_rep = {}
     for kind, dim in (("diagram", None), ("matrix", 2), ("matrix", 3)):
-        report = run_verify(VerifyRequest("vtl", kind, 3, solved(dim or 2), dim=dim))
+        report = run_verify(VerifyRequest("vtl", kind, 3, solved(dim or 2)))
         probe = next(
             p for p in report["probes"] if p["name"] == "f_move_independence"
         )
@@ -242,7 +242,7 @@ LOCAL_SIZES = (
 
 def _full_size_checks(request):
     """Every instance's report from a direct evaluation at full n."""
-    rep = make_rep(request.rep_kind, request.n, request.params.lam, request.dim)
+    rep = make_rep(request.rep_kind, request.n, request.params.lam)
     out = []
     for family in ALGEBRA_FAMILIES[request.algebra]:
         if request.n < FAMILIES[family].min_n:
@@ -263,7 +263,7 @@ def test_local_checks_equal_full_size_evaluation(monkeypatch, kind, n, dim):
     # utl and brauer between them hold every family of every preset
     for algebra in ("utl", "brauer"):
         for p in points:
-            request = VerifyRequest(algebra, kind, n, p, dim=dim, probe_samples=1)
+            request = VerifyRequest(algebra, kind, n, p, probe_samples=1)
             full = _full_size_checks(request)
             report = run_verify(request)
             with monkeypatch.context() as m:
@@ -342,8 +342,8 @@ def _full_size_rank(rep):
 @pytest.mark.parametrize("kind, dim", [("diagram", None), ("matrix", 2), ("matrix", 3)])
 @pytest.mark.parametrize("n", [4, 5])
 def test_independence_probe_rank_equals_full_size_rank(kind, dim, n):
-    request = VerifyRequest("vtl", kind, n, solved(dim or 2), dim=dim, probe_samples=1)
+    request = VerifyRequest("vtl", kind, n, solved(dim or 2), probe_samples=1)
     report = run_verify(request)
     probe = next(p for p in report["probes"] if p["name"] == "f_move_independence")
-    assert probe["rank"] == _full_size_rank(make_rep(kind, n, request.params.lam, dim))
+    assert probe["rank"] == _full_size_rank(make_rep(kind, n, request.params.lam))
     assert probe["rank"] == (3 if dim == 2 else 4)
