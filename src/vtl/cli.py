@@ -131,6 +131,11 @@ def _resolve_lambda(args) -> QuadScalar:
                 f" got --lambda {args.lam}"
             )
         return as_scalar(d)
+    if dim is not None:
+        raise ValueError(
+            f"--dim sets the matrix rep's local dimension; the {rep_kind} rep"
+            f" takes its loop value from --lambda, got --dim {dim}"
+        )
     if args.lam is None:
         return as_scalar(2)
     return as_scalar(args.lam)

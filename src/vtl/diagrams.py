@@ -11,8 +11,11 @@ equality and order are the tuple's own.  Within one n, tuple order is the
 order of the sorted pair lists: at the first index k where two arrays
 differ, both agree on every pair with an endpoint below k, so in both k is
 the smaller end of its pair, and the pair lists first differ at (k, m[k]).
-A `Matching` equals the plain tuple of its entries; nothing in the package
-mixes the two.
+A `Matching` equals the plain tuple of its entries and hashes the same, so
+either can stand for the other as a dict key.  `generator_images` hands out
+plain tuples, which are cheaper to build, and an `AlgebraElement` keys its
+terms by whichever it was given; a `Matching` is built only where terms are
+read out.
 
 The product x * y stacks x above y: x's bottom row is glued to y's top row,
 the composite matching is read off the glued picture, and closed loops in the
@@ -210,19 +213,22 @@ def generator_table(n: int) -> dict[Matching, tuple[str, int]]:
     return table
 
 
-def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[Matching], list[int]]:
+def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[tuple], list[int]]:
     """`compose(m, g)` for each m in ms, g the generator (kind, i) of `generator_table`.
 
-    Returns the glued matchings and the loops each product closes, as two
-    lists in the order of ms.  Every m is a matching on n strands.  The kind
-    and the site are checked once for the batch, then each product is read
-    off m's bottoms alone.  Below m, v_i swaps the partners of B_i and
-    B_{i+1}.  e_i joins those partners and pairs B_i with B_{i+1}; when m
-    already pairs them, its cap closes a loop and m is unchanged.  Either
-    way four entries change.  The identity's site is not looked at.
+    Returns the glued partner arrays and the loops each product closes, as
+    two lists in the order of ms.  Every m is a partner array on n strands,
+    a `Matching` or a plain tuple, and every image is a plain tuple: it
+    equals the `Matching` that `compose` gives, without the cost of building
+    one.  The kind and the site are checked once for the batch, then each
+    product is read off m's bottoms alone.  Below m, v_i swaps the partners
+    of B_i and B_{i+1}.  e_i joins those partners and pairs B_i with
+    B_{i+1}; when m already pairs them, its cap closes a loop and m is
+    unchanged.  Either way four entries change.  The identity's site is not
+    looked at.
     """
     if kind == IDENTITY:
-        return list(ms), [0] * len(ms)
+        return [tuple(m) for m in ms], [0] * len(ms)
     if kind != CUP and kind != CROSS:
         raise ValueError(f"unknown generator kind {kind!r}")
     if not 0 < i < n:
@@ -234,7 +240,7 @@ def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[Matching], lis
         for m in ms:
             pa = m[a]
             if pa == b:
-                images.append(m)
+                images.append(tuple(m))
                 continue
             pb = m[b]
             w = list(m)
@@ -242,13 +248,13 @@ def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[Matching], lis
             w[pb] = a
             w[b] = pa
             w[pa] = b
-            images.append(_new(Matching, w))
+            images.append(tuple(w))
         return images, [0] * len(images)
     loops = []
     for m in ms:
         pa = m[a]
         if pa == b:
-            images.append(m)
+            images.append(tuple(m))
             loops.append(1)
             continue
         pb = m[b]
@@ -257,7 +263,7 @@ def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[Matching], lis
         w[pb] = pa
         w[a] = b
         w[b] = a
-        images.append(_new(Matching, w))
+        images.append(tuple(w))
         loops.append(0)
     return images, loops
 

@@ -5,6 +5,12 @@ pruned.  The loop parameter lambda enters only through multiplication: each
 closed loop produced while gluing two diagrams contributes one factor of
 lambda.
 
+Terms are keyed by partner arrays: a `Matching`, or the equal plain tuple
+that `generator_images` builds more cheaply.  They are stored unordered and
+sorted by matching when read out: `terms()` hands out `Matching` keys in
+that order, and `to_obj`, `__repr__`, pickling and a rep's witness read them
+through it.
+
 Coefficients are stored as pairs of ints over one denominator per element.
 A run's scalars share one field Q(sqrt D) with D = Dn/Dd stored reduced, and
 sqrt(D) = sqrt(Dn*Dd)/Dd, so every coefficient is (p + q*sqrt(Dn*Dd))/den
@@ -12,10 +18,10 @@ for ints p, q and the element's positive `den`.  The element's field tag is
 (Dn, Dd), or None when every q is 0: a rational element combines with any
 field, and two different tags raise FieldMismatchError.  Arithmetic runs on
 the ints alone and divides by the gcd of `den` and all the ints once per
-result, so each element has one stored form and `==` and `hash` compare it
-directly.  QuadScalars appear only at the boundary: the constructor and
-`.scale` take them, and `terms`, `coeff`, `to_obj` and `closure_trace`
-give them.
+result, so each element has one stored set of terms, and `==` and `hash`
+compare that set in any storage order.  QuadScalars appear only at the
+boundary: the constructor and `.scale` take them, and `terms`, `coeff`,
+`to_obj` and `closure_trace` give them.
 """
 
 from __future__ import annotations
@@ -43,6 +49,11 @@ from .scalars import ONE, ZERO, QuadScalar, _make, as_scalar
 Field = tuple[int, int] | None  # (Dn, Dd) of the coefficients' sqrt(D), None if rational
 
 _first = itemgetter(0)
+
+
+def _matching(m: tuple) -> Matching:
+    """The partner array m as a `Matching`, m itself when it is one."""
+    return m if type(m) is Matching else tuple.__new__(Matching, m)
 
 
 def _split(s: QuadScalar) -> tuple[int, int, int, Field]:
@@ -103,8 +114,9 @@ class AlgebraElement:
     def _trusted(cls, n: int, den: int, field: Field, terms: dict) -> AlgebraElement:
         """The element sum(terms[m] m)/den for (p, q) pairs on n strands.
 
-        No strand check; terms are sorted, zero pairs pruned and every int
-        divided by the gcd of den and all the pairs.
+        No strand check; zero pairs are pruned and every int divided by the
+        gcd of den and all the pairs.  `terms` may be kept as it is, so the
+        caller hands it over.
         """
         out = _new(cls)
         _fill(out, n, den, field, terms)
@@ -123,8 +135,12 @@ class AlgebraElement:
         return cls._trusted(m.n, den, field, {m: (p, q)})
 
     def terms(self) -> list[tuple[Matching, QuadScalar]]:
+        """The nonzero terms as (Matching, coefficient), sorted by matching."""
         den, field = self._den, self._field
-        return [(m, _scalar(p, q, den, field)) for m, (p, q) in self._terms.items()]
+        return [
+            (_matching(m), _scalar(p, q, den, field))
+            for m, (p, q) in sorted(self._terms.items(), key=_first)
+        ]
 
     def coeff(self, m: Matching) -> QuadScalar:
         pair = self._terms.get(m)
@@ -145,7 +161,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash((self.n, self._den, self._field, tuple(self._terms.items())))
+        return hash((self.n, self._den, self._field, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -204,31 +220,28 @@ _set_terms = AlgebraElement._terms.__set__
 
 
 def _fill(out: AlgebraElement, n: int, den: int, field: Field, terms: dict) -> None:
-    """Store terms/den on out in canonical form: sorted, no zero pair, gcd 1.
+    """Store terms/den on out in canonical form: no zero pair, gcd 1.
 
-    `terms` maps matchings to (p, q) tuples.
+    `terms` maps partner arrays to (p, q) tuples.  It is stored as it is
+    when no pair is zero and the gcd is already 1; otherwise one pruned and
+    divided copy is.  Term order is left alone: `terms()` sorts on read-out.
     """
-    kept = []
     g = den  # stays den when nothing is kept, so an empty element gets den 1
-    irrational = False
-    for item in terms.items():
-        p, q = item[1]
+    irrational = pruned = False
+    for p, q in terms.values():
         if q:
             irrational = True
         elif not p:
+            pruned = True
             continue
-        kept.append(item)
         if g != 1:
             g = gcd(g, p, q)
-    if len(kept) > 1:
-        kept.sort(key=_first)
     _set_n(out, n)
     _set_den(out, den // g)
     _set_field(out, field if irrational else None)
-    if g == 1:
-        _set_terms(out, dict(kept))
-    else:
-        _set_terms(out, {m: (p // g, q // g) for m, (p, q) in kept})
+    if pruned or g != 1:
+        terms = {m: (p // g, q // g) for m, (p, q) in terms.items() if p or q}
+    _set_terms(out, terms)
 
 
 def identity_element(n: int) -> AlgebraElement:

@@ -135,17 +135,19 @@ def make_rep(kind: str, n: int, lam) -> Rep:
     """The `kind` ("diagram" or "matrix") rep on n strands at loop value `lam`.
 
     The matrix rep's local dimension is its loop value, so there `lam` must
-    be an integer.
+    be an integer.  Any other kind raises ValueError.
     """
-    if kind == "matrix":
-        lam = as_scalar(lam)
-        if not lam.is_rational or lam.xd != 1:
-            raise ValueError(
-                f"the matrix rep's loop value is its local dimension d,"
-                f" an integer; got lambda={lam}"
-            )
-        return MatrixRep(n, lam.xn)
-    return DiagramRep(n, lam)
+    if kind == "diagram":
+        return DiagramRep(n, lam)
+    if kind != "matrix":
+        raise ValueError(f"unknown rep kind {kind!r} (known: diagram, matrix)")
+    lam = as_scalar(lam)
+    if not lam.is_rational or lam.xd != 1:
+        raise ValueError(
+            f"the matrix rep's loop value is its local dimension d,"
+            f" an integer; got lambda={lam}"
+        )
+    return MatrixRep(n, lam.xn)
 
 
 def rho_image(rep: Rep, i: int, params: RhoParams):

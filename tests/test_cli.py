@@ -67,6 +67,23 @@ def test_verify_matrix_lambda_must_match_dim(capsys):
     assert "forces lambda" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify",),
+    ("eval", "--word", "r1 e2"),
+])
+def test_dim_is_refused_in_the_diagram_rep(capsys, command):
+    """--dim belongs to the matrix rep; the diagram rep refuses it, given
+    alone or beside --lambda, instead of ignoring it."""
+    for extra in ((), ("--lambda", "2")):
+        code, out, err = run_cli(
+            capsys, *command, "--rep", "diagram", "--n", "3", "--dim", "3", *extra
+        )
+        assert (code, out) == (2, "")
+        assert "--dim" in err and "matrix rep" in err
+    code, _, _ = run_cli(capsys, *command, "--rep", "diagram", "--n", "3", "--lambda", "2")
+    assert code == 0
+
+
 def test_degenerate_parameters_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--a", "1", "--b", "0", "--c", "1", "--lambda", "2"

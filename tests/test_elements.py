@@ -536,6 +536,54 @@ def test_one_value_has_one_stored_form():
     assert hash(x - x) == hash(AlgebraElement.zero(n))
 
 
+def test_terms_are_sorted_on_read_out_whatever_the_storage_order():
+    """Terms are stored unordered and keyed by `Matching`s or plain tuples;
+    every read-out sorts them by matching and hands out `Matching`s."""
+    n, lam = 4, Fraction(5, 2)
+    rng = random.Random(20)
+    ms = [random_matching(n, rng) for _ in range(6)] + [e_diagram(2, n), v_diagram(3, n)]
+    items = [(m, Fraction(k + 1, 3) + (SQRT5 if k % 2 else ZERO)) for k, m in enumerate(ms)]
+    x = AlgebraElement(n, dict(items))
+    y = AlgebraElement(n, dict(reversed(items)))
+    assert list(x._terms) != list(y._terms)
+    assert x == y and hash(x) == hash(y)
+    assert x.terms() == y.terms() and x.to_obj() == y.to_obj()
+    keys = [m for m, _ in x.terms()]
+    assert keys == sorted(set(ms))
+    # a product's keys are the plain tuples of the generator kernel
+    z = element_multiply(x, v_element(1, n) + e_element(3, n), lam)
+    assert {type(m) for m in z._terms} == {tuple}
+    for elem in (x, y, z):
+        terms = elem.terms()
+        assert all(type(m) is Matching for m, _ in terms)
+        assert [m for m, _ in terms] == sorted(elem._terms)
+        assert elem.to_obj() == [{"matching": m.to_obj(), "coeff": c.to_obj()} for m, c in terms]
+        witness = DiagramRep(n, lam).describe(elem)[1]
+        assert terms[0][0] == min(elem._terms)
+        assert witness["matching"] == terms[0][0].to_obj()
+        back = pickle.loads(pickle.dumps(elem))
+        assert back == elem and hash(back) == hash(elem) and back.terms() == terms
+
+
+def test_results_are_pruned_and_divided_once():
+    """A product whose identity and v_1 terms cancel and whose numerators
+    share the factor 2 of its denominator is stored pruned and reduced; a
+    dict with nothing to prune or divide is stored as it is."""
+    n, lam = 3, 3
+    one, v1, e2 = identity_diagram(n), v_diagram(1, n), e_diagram(2, n)
+    half = as_scalar(Fraction(1, 2))
+    x = AlgebraElement(n, {one: half, v1: half, e2: half})
+    y = AlgebraElement(n, {one: as_scalar(2), v1: as_scalar(-2)})
+    got = element_multiply(x, y, lam)  # (1 + v1 + e2)(1 - v1) = e2 - e2 v1
+    assert_terms(got, element_multiply_oracle(x, y, lam))
+    assert got._den == 1 and len(got._terms) == 2 and got.coeff(e2) == ONE
+    glued = glued_product(x, y, lam)
+    assert glued == got
+    pairs = {tuple(one): (1, 0), tuple(e2): (3, 0)}
+    kept = AlgebraElement._trusted(n, 2, None, pairs)
+    assert kept._terms is pairs and kept.coeff(e2) == as_scalar(Fraction(3, 2))
+
+
 # The n = 6 diagram word of the word_algebra benchmark: its fixed core w,
 # then w^-1, at a = 1, b = b_plus, c = 1/2 and lambda = 3.
 N6_CORE = "r1 v3 r2^-1 r5 r4^-1 r5 r1^-1 r3 r4^-1 r5 v2"

@@ -135,6 +135,12 @@ def test_matrix_rep_takes_its_dimension_from_lambda():
             make_rep("matrix", 3, lam)
 
 
+@pytest.mark.parametrize("kind", ["matirx", "Diagram", ""])
+def test_make_rep_refuses_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=r"unknown rep kind .*diagram, matrix"):
+        make_rep(kind, 3, 2)
+
+
 @pytest.mark.parametrize("rep", [DiagramRep(3, Fraction(5, 2)), MatrixRep(3, 2)])
 def test_empty_word_evaluates_to_the_identity(rep):
     assert evaluate_word(parse_word("", 3), rep) == rep.one()

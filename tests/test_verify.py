@@ -225,6 +225,13 @@ def test_run_verify_unknown_algebra():
         run_verify(VerifyRequest("sl2", "diagram", 3, solved(2)))
 
 
+def test_run_verify_unknown_rep_kind():
+    """A misspelt rep kind is refused, not run in the diagram rep."""
+    request = VerifyRequest("vtl", "matirx", 3, RhoParams.make(1, -1, 1, 2))
+    with pytest.raises(ValueError, match="unknown rep kind 'matirx'"):
+        run_verify(request)
+
+
 def test_algebra_presets_nest():
     assert set(ALGEBRA_FAMILIES["vtl"]) < set(ALGEBRA_FAMILIES["wtl"])
     assert set(ALGEBRA_FAMILIES["wtl"]) < set(ALGEBRA_FAMILIES["utl"])
