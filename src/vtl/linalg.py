@@ -197,13 +197,6 @@ class DenseMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
 
-    def transpose(self) -> DenseMatrix:
-        data: dict[int, dict[int, QuadScalar]] = {}
-        for r, row in self._data.items():
-            for c, value in row.items():
-                data.setdefault(c, {})[r] = value
-        return DenseMatrix._trusted(self.cols, self.rows, data)
-
     def trace(self) -> QuadScalar:
         total = _ZERO
         for k, row in self._data.items():

@@ -281,29 +281,28 @@ class FamilySpec:
     name: str
     min_n: int
     needs_params: bool
-    guarded: bool  # reject the b=0, a*c != 0 regime before evaluating
     builder: object  # params -> list of shape blocks
 
 
 FAMILIES: dict[str, FamilySpec] = {
     spec.name: spec
     for spec in [
-        FamilySpec("TLR", 2, True, False, _tlr),
-        FamilySpec("VCR", 2, False, False, _vcr),
-        FamilySpec("VEV", 2, False, False, _vev),
-        FamilySpec("VBR", 2, False, False, _vbr),
-        FamilySpec("BGR", 3, False, False, _bgr),
-        FamilySpec("F1", 3, False, False, _forbidden(1)),
-        FamilySpec("F2", 3, False, False, _forbidden(2)),
-        FamilySpec("vTL", 3, True, True, _vtl),
-        FamilySpec("FF1", 3, True, True, _ff(1)),
-        FamilySpec("wTL1", 3, True, True, _wtl(1)),
-        FamilySpec("FF2", 3, True, True, _ff(2)),
-        FamilySpec("wTL2", 3, True, True, _wtl(2)),
-        FamilySpec("brauer", 2, False, False, _brauer),
-        FamilySpec("brvtl", 3, True, True, _brvtl),
-        FamilySpec("f_explicit", 3, False, False, _f_explicit),
-        FamilySpec("fstar", 3, False, False, _fstar),
+        FamilySpec("TLR", 2, True, _tlr),
+        FamilySpec("VCR", 2, False, _vcr),
+        FamilySpec("VEV", 2, False, _vev),
+        FamilySpec("VBR", 2, False, _vbr),
+        FamilySpec("BGR", 3, False, _bgr),
+        FamilySpec("F1", 3, False, _forbidden(1)),
+        FamilySpec("F2", 3, False, _forbidden(2)),
+        FamilySpec("vTL", 3, True, _vtl),
+        FamilySpec("FF1", 3, True, _ff(1)),
+        FamilySpec("wTL1", 3, True, _wtl(1)),
+        FamilySpec("FF2", 3, True, _ff(2)),
+        FamilySpec("wTL2", 3, True, _wtl(2)),
+        FamilySpec("brauer", 2, False, _brauer),
+        FamilySpec("brvtl", 3, True, _brvtl),
+        FamilySpec("f_explicit", 3, False, _f_explicit),
+        FamilySpec("fstar", 3, False, _fstar),
     ]
 }
 
@@ -429,11 +428,10 @@ def check_relation(
     """Evaluate lhs - rhs in the representation and report exactly.
 
     The degenerate regime b = 0, a*c != 0 is rejected for the linear families
-    with a dedicated error: there the identity forces v_i = v_{i+1} and a
-    bare "failed" would be misleading.
+    (the instances with groups) with a dedicated error: there the identity
+    forces v_i = v_{i+1} and a bare "failed" would be misleading.
     """
-    spec = FAMILIES[instance.family]
-    if spec.guarded and params.is_degenerate:
+    if instance.groups and params.is_degenerate:
         raise DegenerateParamsError(
             f"family {instance.family}: b = 0 with a*c != 0 forces"
             " v_i = v_{i+1}; refusing to evaluate"

@@ -6,8 +6,12 @@ itself (elements are AlgebraElement) and the tensor-space matrix model
 value is its local dimension d; a rep carries `n`, `lam` and `d` (None in
 the diagram rep).  Elements of both carry their own linear arithmetic (`+`,
 `-`, `.scale(s)`, `.is_zero`), so a rep supplies only what differs between
-the two: `one`, `zero`, `e`, `v`, `mul`, `invert` and `describe`, which
-gives an element's norm string and witness in the rep's own terms.
+the two: `one`, `zero`, `e`, `v`, `mul` and `invert`; `coords(x)`, x's
+nonzero `(key, QuadScalar)` pairs in sorted order (keyed by matching, or by
+`(row, col)`); `describe(x)`, x's norm string and witness, read from
+`coords`; and `probes(seed, samples)`, the rep's random self-checks as
+report entries, with `probe_samples` their default count.  `verify` drives
+either rep through this surface alone, apart from choosing its local path.
 
 The image of `r<k>^-1` is built like that of `r<k>`, from the closed-form
 parameters of `RhoParams.inverse` at the rep's own loop value.  A rep's
@@ -18,8 +22,12 @@ closed form is tested against.
 
 from __future__ import annotations
 
+import random
+
+from .diagrams import compose, random_matching
 from .elements import (
     AlgebraElement,
+    closure_trace,
     e_element,
     element_inverse,
     element_multiply,
@@ -31,7 +39,13 @@ from .expressions import Expr
 from .linalg import DenseMatrix, invert
 from .rho import RhoParams
 from .scalars import as_scalar
-from .tensorrep import MAX_TENSOR_DIM, perm_matrix, ptranspose_matrix, site_embed
+from .tensorrep import (
+    MAX_TENSOR_DIM,
+    matching_matrix,
+    perm_matrix,
+    ptranspose_matrix,
+    site_embed,
+)
 from .words import E, RHO, RHO_INV, V, GeneratorSymbol, GeneratorWord
 
 
@@ -40,6 +54,7 @@ class DiagramRep:
 
     kind = "diagram"
     d = None
+    probe_samples = 20
 
     def __init__(self, n: int, lam):
         self.n = n
@@ -66,15 +81,49 @@ class DiagramRep:
     def invert(self, x):
         return element_inverse(x, self.lam)
 
+    def coords(self, x) -> list:
+        """x's nonzero (matching, coefficient) pairs, in sorted order."""
+        return x.terms()
+
     def describe(self, x) -> tuple[str, dict | None]:
         """x's norm string and first term, or ("0", None) when x is zero."""
-        terms = x.terms()
+        terms = self.coords(x)
         if not terms:
             return "0", None
         size = max(abs(c.approx()) for _, c in terms)
         m, c = terms[0]
         norm = f"{len(terms)} terms, max |coeff| ~= {size:.6g}"
         return norm, {"matching": m.to_obj(), "coeff": c.to_obj()}
+
+    def probes(self, seed: int, samples: int) -> list[dict]:
+        """Associativity and trace cyclicity on random diagram triples."""
+        rng = random.Random(seed)
+        lam = self.lam
+        assoc_ok = trace_ok = True
+        for _ in range(samples):
+            x = AlgebraElement.from_matching(random_matching(self.n, rng))
+            y = AlgebraElement.from_matching(random_matching(self.n, rng))
+            z = AlgebraElement.from_matching(random_matching(self.n, rng))
+            xy = element_multiply(x, y, lam)
+            left = element_multiply(xy, z, lam)
+            right = element_multiply(x, element_multiply(y, z, lam), lam)
+            if left != right:
+                assoc_ok = False
+            yx = element_multiply(y, x, lam)
+            if closure_trace(xy, lam) != closure_trace(yx, lam):
+                trace_ok = False
+        return [
+            {
+                "name": "associativity",
+                "samples": samples,
+                "status": "pass" if assoc_ok else "fail",
+            },
+            {
+                "name": "trace_cyclicity",
+                "samples": samples,
+                "status": "pass" if trace_ok else "fail",
+            },
+        ]
 
 
 class MatrixRep:
@@ -117,15 +166,49 @@ class MatrixRep:
     def invert(self, x):
         return invert(x)
 
+    @property
+    def probe_samples(self) -> int:
+        """Fewer samples as d^n grows: each one multiplies d^n matrices."""
+        dim = self.d**self.n
+        if dim <= 64:
+            return 12
+        if dim <= 256:
+            return 4
+        return 2
+
+    def coords(self, x) -> list:
+        """x's nonzero ((row, col), entry) pairs, in row-major order."""
+        return [((r, c), e) for r, c, e in x.nonzeros()]
+
     def describe(self, x) -> tuple[str, dict | None]:
         """x's norm string and first nonzero entry, or ("0", None) when x is zero."""
-        entries = list(x.nonzeros())
+        entries = self.coords(x)
         if not entries:
             return "0", None
-        size = max(abs(e.approx()) for _, _, e in entries)
-        r, c, entry = entries[0]
+        size = max(abs(e.approx()) for _, e in entries)
+        (r, c), entry = entries[0]
         norm = f"{len(entries)} entries, max |entry| ~= {size:.6g}"
         return norm, {"row": r, "col": c, "entry": entry.to_obj()}
+
+    def probes(self, seed: int, samples: int) -> list[dict]:
+        """Stacking two random diagrams is their matrices' product."""
+        rng = random.Random(seed)
+        ok = True
+        for _ in range(samples):
+            x = random_matching(self.n, rng)
+            y = random_matching(self.n, rng)
+            prod, loops = compose(x, y)
+            lhs = matching_matrix(x, self) * matching_matrix(y, self)
+            rhs = matching_matrix(prod, self).scale(self.lam**loops)
+            if lhs != rhs:
+                ok = False
+        return [
+            {
+                "name": "stacking_homomorphism",
+                "samples": samples,
+                "status": "pass" if ok else "fail",
+            }
+        ]
 
 
 Rep = DiagramRep | MatrixRep

@@ -95,10 +95,6 @@ class QuadScalar:
         return QuadScalar, (self.x, self.y, self.D)
 
     @classmethod
-    def rational(cls, q: RationalLike) -> QuadScalar:
-        return cls(Fraction(q))
-
-    @classmethod
     def root(cls, D: RationalLike) -> QuadScalar:
         """sqrt(D) as a scalar (collapses to a rational when D is square)."""
         return cls(0, 1, D)

@@ -16,11 +16,8 @@ is handled explicitly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .diagrams import compose, random_matching
-from .elements import AlgebraElement, closure_trace, element_multiply
 from .linalg import DenseMatrix, rank
 from .relations import (
     FAMILIES,
@@ -30,10 +27,9 @@ from .relations import (
     params_obj,
     placements,
 )
-from .reps import DiagramRep, MatrixRep, Rep, evaluate_expr, make_rep
+from .reps import Rep, evaluate_expr, make_rep
 from .rho import RhoParams
 from .scalars import as_scalar
-from .tensorrep import matching_matrix
 
 DEFAULT_SEED = 20260214
 
@@ -102,17 +98,6 @@ class VerifyRequest:
     params: RhoParams
     seed: int = DEFAULT_SEED
     probe_samples: int | None = None
-
-
-def _auto_samples(rep: Rep) -> int:
-    if rep.kind == "diagram":
-        return 20
-    dim = rep.d**rep.n
-    if dim <= 64:
-        return 12
-    if dim <= 256:
-        return 4
-    return 2
 
 
 def _rep_on(rep: Rep, k: int, local_reps: dict[int, Rep]) -> Rep:
@@ -202,56 +187,6 @@ def _run_checks(
     return checks
 
 
-def _diagram_probes(request: VerifyRequest, rep: DiagramRep, samples: int) -> list[dict]:
-    rng = random.Random(request.seed)
-    lam = rep.lam
-    assoc_ok = trace_ok = True
-    for _ in range(samples):
-        x = AlgebraElement.from_matching(random_matching(rep.n, rng))
-        y = AlgebraElement.from_matching(random_matching(rep.n, rng))
-        z = AlgebraElement.from_matching(random_matching(rep.n, rng))
-        xy = element_multiply(x, y, lam)
-        left = element_multiply(xy, z, lam)
-        right = element_multiply(x, element_multiply(y, z, lam), lam)
-        if left != right:
-            assoc_ok = False
-        yx = element_multiply(y, x, lam)
-        if closure_trace(xy, lam) != closure_trace(yx, lam):
-            trace_ok = False
-    return [
-        {
-            "name": "associativity",
-            "samples": samples,
-            "status": "pass" if assoc_ok else "fail",
-        },
-        {
-            "name": "trace_cyclicity",
-            "samples": samples,
-            "status": "pass" if trace_ok else "fail",
-        },
-    ]
-
-
-def _matrix_probes(request: VerifyRequest, rep: MatrixRep, samples: int) -> list[dict]:
-    rng = random.Random(request.seed)
-    ok = True
-    for _ in range(samples):
-        x = random_matching(rep.n, rng)
-        y = random_matching(rep.n, rng)
-        prod, loops = compose(x, y)
-        lhs = matching_matrix(x, rep) * matching_matrix(y, rep)
-        rhs = matching_matrix(prod, rep).scale(rep.lam**loops)
-        if lhs != rhs:
-            ok = False
-    return [
-        {
-            "name": "stacking_homomorphism",
-            "samples": samples,
-            "status": "pass" if ok else "fail",
-        }
-    ]
-
-
 def _independence_probe(rep: Rep, local_reps: dict[int, Rep]) -> dict | None:
     """Rank of {v1 - v2, [F]0, [F]1, [F]2} at the first site.
 
@@ -266,13 +201,10 @@ def _independence_probe(rep: Rep, local_reps: dict[int, Rep]) -> dict | None:
     rep = _rep_on(rep, 3, local_reps)
     elems = [rep.v(1) - rep.v(2)]
     elems += [evaluate_expr(f_word_expr(j, 1), rep) for j in range(3)]
-    if rep.kind == "matrix":
-        positions = sorted({(r, c) for m in elems for r, c, _ in m.nonzeros()})
-        rows = [[m[r, c] for r, c in positions] for m in elems]
-    else:
-        basis = sorted({m for elem in elems for m, _ in elem.terms()})
-        rows = [[elem.coeff(m) for m in basis] for elem in elems]
-    r = rank(DenseMatrix(rows))
+    coords = [dict(rep.coords(elem)) for elem in elems]
+    # One column per key any element uses; rank ignores the column order.
+    keys = list(dict.fromkeys(k for c in coords for k in c))
+    r = rank(DenseMatrix([[c.get(k, 0) for k in keys] for c in coords]))
     return {
         "name": "f_move_independence",
         "rank": r,
@@ -287,17 +219,14 @@ def run_verify(request: VerifyRequest) -> dict:
         known = ", ".join(sorted(ALGEBRA_FAMILIES))
         raise ValueError(f"unknown algebra {request.algebra!r} (known: {known})")
     rep = make_rep(request.rep_kind, request.n, request.params.lam)
+    samples = request.probe_samples
+    if samples is None:
+        samples = rep.probe_samples
+    if samples < 0:
+        raise ValueError(f"probe sample count must be at least 0; got {samples}")
     local_reps: dict[int, Rep] = {}
     checks = _run_checks(request, rep, local_reps)
-    samples = (
-        request.probe_samples
-        if request.probe_samples is not None
-        else _auto_samples(rep)
-    )
-    if rep.kind == "diagram":
-        probes = _diagram_probes(request, rep, samples)
-    else:
-        probes = _matrix_probes(request, rep, samples)
+    probes = rep.probes(request.seed, samples)
     independence = _independence_probe(rep, local_reps)
     if independence is not None:
         probes.append(independence)

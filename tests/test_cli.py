@@ -339,3 +339,15 @@ def test_json_output_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rep", ["diagram", "matrix"])
+def test_negative_probe_count_exits_two(capsys, rep):
+    code, out, err = run_cli(
+        capsys, "verify", "--rep", rep, "--n", "3", "--samples", "-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "probe sample count must be at least 0" in err
+    code, out, _ = run_cli(capsys, "verify", "--rep", rep, "--n", "3", "--samples", "0")
+    assert code == 0 and "(0 samples)" in out

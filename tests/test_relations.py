@@ -407,16 +407,26 @@ def test_check_relation_reports_group_breakdown_on_failure():
     assert report.groups["f0"] is False
 
 
-def test_check_relation_rejects_degenerate_regime():
+# The families built by `_linear`, the only code that gives an instance groups.
+LINEAR_FAMILIES = {"vTL", "FF1", "FF2", "wTL1", "wTL2", "brvtl"}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_check_relation_rejects_degenerate_regime(family):
+    """b = 0, a*c != 0 is refused exactly for the linear families; every
+    other family still runs there."""
     p = params_at(1, 0, 1, 2)
     assert p.is_degenerate
     rep = DiagramRep(3, 2)
-    inst = relation_instances("vTL", 3, p)[0]
-    with pytest.raises(DegenerateParamsError):
-        check_relation(inst, rep, p)
-    # non-linear families still run fine there
-    tlr = relation_instances("TLR", 3, p)[0]
-    assert check_relation(tlr, rep, p).residual_zero
+    instances = relation_instances(family, 3, p)
+    assert instances
+    for inst in instances:
+        assert bool(inst.groups) == (family in LINEAR_FAMILIES)
+        if family in LINEAR_FAMILIES:
+            with pytest.raises(DegenerateParamsError):
+                check_relation(inst, rep, p)
+        else:
+            check_relation(inst, rep, p)
 
 
 def test_check_relation_rejects_lambda_mismatch():

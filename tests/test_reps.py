@@ -125,6 +125,38 @@ def test_witness_points_at_a_nonzero_piece():
     assert m.describe(m.zero()) == ("0", None)
 
 
+def _sample_elements(rep):
+    """Zero, a generator, and sums with several coordinates of mixed sign."""
+    yield rep.zero()
+    yield rep.e(1)
+    yield rep.v(2) - rep.e(1).scale(3)
+    yield rho_image(rep, 1, RhoParams.make(1, -1, 2, rep.lam)) - rep.v(1)
+    yield rep.mul(rep.e(2), rep.v(1)) + rep.one().scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("rep", [DiagramRep(3, Fraction(5, 2)), MatrixRep(3, 2)])
+def test_coords_are_the_sorted_nonzero_pairs(rep):
+    for x in _sample_elements(rep):
+        coords = rep.coords(x)
+        keys = [k for k, _ in coords]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert all(not c.is_zero for _, c in coords)
+        if isinstance(rep, DiagramRep):
+            assert coords == x.terms()
+        else:
+            assert coords == [((r, c), e) for r, c, e in x.nonzeros()]
+        assert (coords == []) == x.is_zero
+        norm, witness = rep.describe(x)
+        if not coords:
+            assert (norm, witness) == ("0", None)
+            continue
+        key, value = coords[0]
+        if isinstance(rep, DiagramRep):
+            assert witness == {"matching": key.to_obj(), "coeff": value.to_obj()}
+        else:
+            assert witness == {"row": key[0], "col": key[1], "entry": value.to_obj()}
+
+
 def test_matrix_rep_takes_its_dimension_from_lambda():
     rep = make_rep("matrix", 3, 3)
     assert (rep.n, rep.d, rep.lam) == (3, 3, as_scalar(3))

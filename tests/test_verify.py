@@ -232,6 +232,36 @@ def test_run_verify_unknown_rep_kind():
         run_verify(request)
 
 
+@pytest.mark.parametrize("kind", ["diagram", "matrix"])
+def test_run_verify_refuses_a_negative_probe_count(kind):
+    with pytest.raises(ValueError, match="at least 0; got -1"):
+        run_verify(VerifyRequest("vtl", kind, 3, solved(2), probe_samples=-1))
+    report = run_verify(VerifyRequest("vtl", kind, 3, solved(2), probe_samples=0))
+    assert report["ok"] and report["flags"]["samples"] == 0
+
+
+def test_run_verify_drives_any_rep_through_its_surface(monkeypatch):
+    """A rep of a kind verify has never heard of runs with no edit to
+    verify: its checks and probes are the diagram rep's."""
+
+    class StandIn(DiagramRep):
+        kind = "stand-in"
+
+    def make(kind, n, lam):
+        return StandIn(n, lam) if kind == "stand-in" else make_rep(kind, n, lam)
+
+    monkeypatch.setattr(verify, "make_rep", make)
+    p = params_at(1, -1, 1, 2)
+    stand_in = run_verify(VerifyRequest("utl", "stand-in", 4, p))
+    diagram = run_verify(VerifyRequest("utl", "diagram", 4, p))
+    assert stand_in["rep"] == stand_in["flags"]["rep"] == "stand-in"
+    assert stand_in["flags"]["samples"] == DiagramRep.probe_samples
+    assert stand_in["probes"] == diagram["probes"]
+    # the local switch sends the stand-in to full-size checks; same verdicts
+    assert stand_in["checks"] == diagram["checks"]
+    assert stand_in["summary"] == diagram["summary"]
+
+
 def test_algebra_presets_nest():
     assert set(ALGEBRA_FAMILIES["vtl"]) < set(ALGEBRA_FAMILIES["wtl"])
     assert set(ALGEBRA_FAMILIES["wtl"]) < set(ALGEBRA_FAMILIES["utl"])
