@@ -201,7 +201,7 @@ def _cmd_verify(args) -> int:
         probe_samples=args.samples,
     )
     report = run_verify(request)
-    _emit(report, args.fmt, _verify_text(report))
+    _emit(report, args.fmt, _verify_text(report) if args.fmt == "text" else None)
     return 0 if report["ok"] else 1
 
 

@@ -290,6 +290,18 @@ def closure_loops(m: Matching) -> int:
 
 
 def random_matching(n: int, rng: random.Random) -> Matching:
+    """A matching drawn by shuffling the 2n endpoints and pairing them off.
+
+    The partner array is filled directly, as in `compose`: a shuffle pairs
+    every endpoint exactly once, so there is nothing to validate.
+    """
+    if n < 1:
+        raise ValueError("need at least one strand")
     points = list(range(2 * n))
     rng.shuffle(points)
-    return Matching(n, list(zip(points[0::2], points[1::2])))
+    partner = [0] * (2 * n)
+    for k in range(0, 2 * n, 2):
+        p, q = points[k], points[k + 1]
+        partner[p] = q
+        partner[q] = p
+    return _new(Matching, partner)

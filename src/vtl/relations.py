@@ -423,9 +423,16 @@ def params_obj(params: RhoParams) -> dict:
 
 
 def check_relation(
-    instance: RelationInstance, rep: Rep, params: RhoParams
+    instance: RelationInstance,
+    rep: Rep,
+    params: RhoParams,
+    table: dict | None = None,
 ) -> CheckReport:
     """Evaluate lhs - rhs in the representation and report exactly.
+
+    Given a word table (`evaluate_expr`), which callers may share between
+    instances checked in `rep` at `params`, lhs, rhs and the groups read
+    their words through it; otherwise each expression has its own.
 
     The degenerate regime b = 0, a*c != 0 is rejected for the linear families
     (the instances with groups) with a dedicated error: there the identity
@@ -441,15 +448,15 @@ def check_relation(
             f"params carry lambda={params.lam} but the representation"
             f" has lambda={rep.lam}"
         )
-    lhs = evaluate_expr(instance.lhs, rep, params)
-    rhs = evaluate_expr(instance.rhs, rep, params)
+    lhs = evaluate_expr(instance.lhs, rep, params, table)
+    rhs = evaluate_expr(instance.rhs, rep, params, table)
     residual = lhs - rhs
     zero = residual.is_zero
     norm, witness = rep.describe(residual)
     groups = None
     if not zero and instance.groups:
         groups = {
-            g.name: evaluate_expr(g.weighted(), rep, params).is_zero
+            g.name: evaluate_expr(g.weighted(), rep, params, table).is_zero
             for g in instance.groups
         }
     return CheckReport(

@@ -278,10 +278,36 @@ def evaluate_word(
     return rep.one() if out is None else out
 
 
-def evaluate_expr(expr: Expr, rep: Rep, params: RhoParams | None = None):
+def evaluate_expr(
+    expr: Expr, rep: Rep, params: RhoParams | None = None, table: dict | None = None
+):
+    """Sum of coefficient times word product over the terms of `expr`.
+
+    Without `table`, each word is an `evaluate_word` fold and only the
+    symbols' images are kept, for the call.  `table` also keeps products:
+    it maps words (symbol tuples) to their products in `rep` at `params`,
+    and callers may share one between expressions evaluated there.  A word
+    is looked up, or built from its longest stored prefix one symbol at a
+    time, each new prefix stored, so a prefix is multiplied once per table.
+    That pays where many short words share prefixes, as the registry's
+    shapes do; a single expression's words share few.
+    """
     total = rep.zero()
-    images = {}
+    if table is None:
+        images = {}
+        for word, coeff in expr.terms.items():
+            total = total + evaluate_word(word, rep, params, images).scale(coeff)
+        return total
     for word, coeff in expr.terms.items():
-        value = evaluate_word(word, rep, params, images)
-        total = total + value.scale(coeff)
+        k = len(word)
+        while k and word[:k] not in table:
+            k -= 1
+        value = table[word[:k]] if k else None
+        for j in range(k, len(word)):
+            image = table.get(word[j : j + 1])
+            if image is None:
+                image = table[word[j : j + 1]] = symbol_image(rep, word[j], params)
+            value = image if value is None else rep.mul(value, image)
+            table[word[: j + 1]] = value
+        total = total + (rep.one() if value is None else value).scale(coeff)
     return total

@@ -100,30 +100,42 @@ class VerifyRequest:
     probe_samples: int | None = None
 
 
-def _rep_on(rep: Rep, k: int, local_reps: dict[int, Rep]) -> Rep:
-    """`rep` on k strands, with the same lambda; built once per run."""
-    if k == rep.n:
-        return rep
+def _rep_on(
+    rep: Rep, k: int, local_reps: dict[int, tuple[Rep, dict]]
+) -> tuple[Rep, dict]:
+    """`rep` on k strands, with the same lambda, and its word table.
+
+    Both are built once per run: the table (see `reps.evaluate_expr`) holds
+    products at the run's parameters, so it must not outlive the run.
+    """
     out = local_reps.get(k)
     if out is None:
-        out = local_reps[k] = make_rep(rep.kind, k, rep.lam)
+        local = rep if k == rep.n else make_rep(rep.kind, k, rep.lam)
+        out = local_reps[k] = (local, {})
     return out
 
 
 def _run_checks(
-    request: VerifyRequest, rep: Rep, local_reps: dict[int, Rep]
+    request: VerifyRequest, rep: Rep, local_reps: dict[int, tuple[Rep, dict]]
 ) -> list[dict]:
     """Check every instance of the preset's families.
 
     In the diagram rep each placement is checked through its family's shape
     on the shape's own k <= 4 strands, and each shape once per run
-    (`relations.placements`); the local report is the full-size one.  No
-    full-size instance is built unless a check fails: a fail is a bug
-    report, so its witness comes from the instance lifted to full size.
+    (`relations.placements`); the local report is the full-size one.  The
+    shapes on k strands share one word table, so each word of their lhs,
+    rhs and groups is multiplied once per run.  No full-size instance is
+    built unless a check fails: a fail is a bug report, so its witness
+    comes from the instance lifted to full size.
+
     The matrix rep checks each lifted instance at full size: there a local
-    check also needs its entry count lifted by d^(n-k), and the
-    benchmark's verify_matrix pass would drop under the 50 ms of CPU
-    between its speed-probe samples, which aborts the run.
+    check also needs its entry count lifted by d^(n-k).  It also keeps the
+    benchmark's verify_matrix runs whole: the speed probe samples once per
+    50 ms of CPU, re-armed every pass.  A full-size pass is about 61 ms at
+    the probe's reference speed (about 99 ms of thread CPU on a loaded
+    host, with 1-2 samples); a pass of about 50 ms, one item's worth, got
+    0-1 samples, and 2 of 3 such runs aborted.  Passes only 4% shorter
+    already aborted 1 run in 5.
     """
     params = request.params
     local = rep.kind == "diagram"
@@ -157,8 +169,8 @@ def _run_checks(
             if local:
                 report = shape_reports.get(id(place.shape))
                 if report is None:
-                    shape_rep = _rep_on(rep, place.shape.n, local_reps)
-                    report = check_relation(place.shape, shape_rep, params)
+                    shape_rep, table = _rep_on(rep, place.shape.n, local_reps)
+                    report = check_relation(place.shape, shape_rep, params, table)
                     shape_reports[id(place.shape)] = report
             else:
                 report = check_relation(place.lift(request.n), rep, params)
@@ -187,20 +199,22 @@ def _run_checks(
     return checks
 
 
-def _independence_probe(rep: Rep, local_reps: dict[int, Rep]) -> dict | None:
+def _independence_probe(
+    rep: Rep, params: RhoParams, local_reps: dict[int, tuple[Rep, dict]]
+) -> dict | None:
     """Rank of {v1 - v2, [F]0, [F]1, [F]2} at the first site.
 
     The grouped residual forms treat these four elements as linearly
     independent.  That is recorded here per run, not asserted: it holds
     in the diagram algebra but not in every matrix model.  The four act on
     strands 1..3, and adding strands is injective, so the rank is taken
-    on three strands.
+    on three strands, through the three-strand word table of the checks.
     """
     if rep.n < 3:
         return None
-    rep = _rep_on(rep, 3, local_reps)
+    rep, table = _rep_on(rep, 3, local_reps)
     elems = [rep.v(1) - rep.v(2)]
-    elems += [evaluate_expr(f_word_expr(j, 1), rep) for j in range(3)]
+    elems += [evaluate_expr(f_word_expr(j, 1), rep, params, table) for j in range(3)]
     coords = [dict(rep.coords(elem)) for elem in elems]
     # One column per key any element uses; rank ignores the column order.
     keys = list(dict.fromkeys(k for c in coords for k in c))
@@ -224,10 +238,10 @@ def run_verify(request: VerifyRequest) -> dict:
         samples = rep.probe_samples
     if samples < 0:
         raise ValueError(f"probe sample count must be at least 0; got {samples}")
-    local_reps: dict[int, Rep] = {}
+    local_reps: dict[int, tuple[Rep, dict]] = {}
     checks = _run_checks(request, rep, local_reps)
     probes = rep.probes(request.seed, samples)
-    independence = _independence_probe(rep, local_reps)
+    independence = _independence_probe(rep, request.params, local_reps)
     if independence is not None:
         probes.append(independence)
     n_pass = sum(1 for c in checks if c["status"] == "pass")

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from vtl import cli
 from vtl.cli import main
 from vtl.rho import RhoParams
 from vtl.verify import VerifyRequest, run_verify
@@ -351,3 +356,41 @@ def test_negative_probe_count_exits_two(capsys, rep):
     assert "probe sample count must be at least 0" in err
     code, out, _ = run_cli(capsys, "verify", "--rep", rep, "--n", "3", "--samples", "0")
     assert code == 0 and "(0 samples)" in out
+
+
+def _fresh_cli(*argv):
+    """(exit code, stdout, stderr) of `vtl` in a new interpreter."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "vtl.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_give_the_bytes_of_fresh_calls(capsys):
+    """main keeps nothing of a call for the next: a sequence of calls, usage
+    errors (exit 2) among them, prints what a new process prints for each."""
+    sequence = [
+        ("verify", "--algebra", "utl", "--n", "4", "--lambda", "5/2", "--a", "1",
+         "--b", "2", "--c", "3", "--format", "json"),
+        ("verify", "--n", "3", "--lambda", "half"),
+        ("verify", "--algebra", "brauer", "--n", "5", "--lambda", "3", "--c", "1"),
+        ("verify", "--n", "3", "--samples", "-1"),
+        ("verify", "--algebra", "utl", "--n", "4", "--lambda", "5/2", "--a", "1",
+         "--b", "2", "--c", "3", "--format", "json"),
+        ("eval", "--word", "r1 v2", "--n", "3", "--format", "json"),
+    ]
+    codes = set()
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_cli(*argv), argv
+        codes.add(code)
+    assert codes == {0, 2}

@@ -322,6 +322,23 @@ def test_random_matching_is_valid_and_deterministic():
     )
 
 
+def test_random_matching_equals_the_validated_construction():
+    """The directly built partner array is the Matching that validating the
+    shuffled pairs gives, draw for draw, and leaves the stream where it did."""
+    for seed in range(300):
+        n = 1 + seed % 7
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = random_matching(n, rng)
+            points = list(range(2 * n))
+            ref.shuffle(points)
+            want = Matching(n, list(zip(points[0::2], points[1::2])))
+            assert type(got) is Matching and got == want
+        assert rng.random() == ref.random()
+    with pytest.raises(ValueError):
+        random_matching(0, random.Random(0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pairs_round_trip_and_order_matches_pair_order(n):
     """Every matching at n (945 at n = 5): its pairs rebuild it, are in

@@ -118,3 +118,18 @@ def test_registry_perturbation_is_detected():
     terms[(V1,)] = terms[(V1,)] * QuadScalar(2)
     assert Expr(terms) != expand_bgr(p)
     assert honest == expand_bgr(p)
+
+
+def test_braid_matches_registry_across_a_sequence_of_points():
+    """In one process the cross-check holds at each point of a sequence,
+    also on coming back to an earlier point."""
+    points = [
+        RhoParams.make(1, solve_ab(3)[0], 1, 3),
+        RhoParams.make(1, 2, 3, Fraction(5, 2)),
+        RhoParams.make(1, -1, 1, 2),
+        RhoParams.make(2, 3, 5, 7),
+    ]
+    for p in points + points[::-1]:
+        assert braid_matches_registry(p)
+    combos = {str(registry_combo(p)) for p in points}
+    assert len(combos) == len(points)

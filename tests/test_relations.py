@@ -1,10 +1,16 @@
 """Relation registry: instances, exact checks, and parameter conditions."""
 
 import hashlib
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from vtl import relations
 from vtl.elements import element_multiply, v_element
 from vtl.errors import DegenerateParamsError
 from vtl.expressions import gen_e, gen_v
@@ -502,3 +508,43 @@ def test_crossing_conjugation_of_braid_elements():
     rep = DiagramRep(3, lam)
     for r in residual("VBR", rep, p):
         assert r.is_zero
+
+
+def _fresh_registry(point, n):
+    """placements and relation_instances of every family at one point, from
+    a new interpreter, where no other point was ever built."""
+    code = (
+        "import pickle, sys\n"
+        "from vtl.relations import FAMILIES, placements, relation_instances\n"
+        "p, n = pickle.load(sys.stdin.buffer)\n"
+        "out = {f: (placements(f, n, p), relation_instances(f, n, p)) for f in FAMILIES}\n"
+        "sys.stdout.buffer.write(pickle.dumps(out))\n"
+    )
+    src = pathlib.Path(relations.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps((point, n)),
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+        timeout=120,
+    )
+    return pickle.loads(done.stdout)
+
+
+def test_registry_gives_each_point_its_own_coefficients():
+    """Alternating two parameter points, every family's placements and
+    instances equal those of a fresh process: nothing of one point is left
+    in the other's."""
+    points = [params_at(1, solve_ab(3)[0], 1, 3), params_at(1, 2, 3, Fraction(5, 2))]
+    fresh = [_fresh_registry(p, 5) for p in points]
+    for round_ in range(2):
+        for point, want in zip(points, fresh):
+            for family in FAMILIES:
+                got = (
+                    placements(family, 5, point),
+                    relation_instances(family, 5, point),
+                )
+                assert got == want[family], (round_, family)
+    one, other = (placements("vTL", 3, p)[0].shape for p in points)
+    assert one != other

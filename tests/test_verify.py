@@ -11,6 +11,7 @@ from vtl.relations import (
     check_relation,
     f_word_expr,
     params_obj,
+    placements,
     relation_instances,
 )
 from vtl.reps import DiagramRep, MatrixRep, evaluate_expr, make_rep
@@ -331,9 +332,9 @@ def test_each_run_keeps_its_own_local_checks(monkeypatch):
     calls = []
     real = verify.check_relation
 
-    def counting(instance, rep, params):
+    def counting(instance, *args):
         calls.append(instance.family)
-        return real(instance, rep, params)
+        return real(instance, *args)
 
     monkeypatch.setattr(verify, "check_relation", counting)
     request = VerifyRequest("utl", "diagram", 6, params_at(1, -1, 1, 2))
@@ -384,3 +385,36 @@ def test_independence_probe_rank_equals_full_size_rank(kind, dim, n):
     probe = next(p for p in report["probes"] if p["name"] == "f_move_independence")
     assert probe["rank"] == _full_size_rank(make_rep(kind, n, request.params.lam))
     assert probe["rank"] == (3 if dim == 2 else 4)
+
+
+# The parameter points of the benchmark's verify workloads.
+BENCHMARK_POINTS = {
+    "sqrt5": solved(3, c=1),
+    "rational": params_at(1, 2, 3, Fraction(5, 2)),
+    "collapse": params_at(1, -1, 1, 2),
+}
+
+
+@pytest.mark.parametrize("point", sorted(BENCHMARK_POINTS))
+def test_shared_word_table_gives_each_shapes_own_report(point):
+    """Every shape of every family, checked as verify does, through one word
+    table per strand count, reports what check_relation without a table
+    reports."""
+    params = BENCHMARK_POINTS[point]
+    kinds = ["diagram"] + (["matrix"] if params.lam == 2 else [])
+    for kind in kinds:
+        tables: dict[int, tuple] = {}
+        for family in FAMILIES:
+            seen = set()
+            for place in placements(family, 4, params):
+                shape = place.shape
+                if id(shape) in seen:
+                    continue
+                seen.add(id(shape))
+                if shape.n not in tables:
+                    tables[shape.n] = (make_rep(kind, shape.n, params.lam), {})
+                rep, table = tables[shape.n]
+                shared = check_relation(shape, rep, params, table)
+                assert shared == check_relation(shape, rep, params), (family, shape)
+        assert sorted(tables) == [2, 3, 4]
+        assert all(table for _, table in tables.values())
