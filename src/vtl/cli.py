@@ -231,29 +231,18 @@ def _cmd_eval(args) -> int:
     word = parse_word(args.word, args.n)
     rep = make_rep(args.rep, args.n, lam)
     value = evaluate_word(word, rep, params)
-    obj = lines = None
-    if args.fmt == "json":
-        obj = {
-            "command": "eval",
-            "word": args.word,
-            "n": args.n,
-            "rep": rep.kind,
-            "params": params_obj(params),
-            ("terms" if rep.kind == "diagram" else "matrix"): value.to_obj(),
-        }
-    elif rep.kind == "diagram":
-        lines = [f"{args.word}  (n={args.n}, lambda={lam})"]
-        if value.is_zero:
-            lines.append("= 0")
-        for m, c in value.terms():
-            lines.append(f"  {c}  *  {m.to_obj()}")
-    else:
-        lines = [
-            f"{args.word}  (n={args.n}, d={rep.d}: {value.rows}x{value.cols} matrix)",
-            f"trace = {value.trace()}",
-            f"nonzero entries = {value.nnz}",
-        ]
-    _emit(obj, args.fmt, lines)
+    if args.fmt == "text":
+        _emit(None, "text", rep.eval_lines(args.word, value))
+        return 0
+    obj = {
+        "command": "eval",
+        "word": args.word,
+        "n": args.n,
+        "rep": rep.kind,
+        "params": params_obj(params),
+        rep.payload: value.to_obj(),
+    }
+    _emit(obj, "json", None)
     return 0
 
 

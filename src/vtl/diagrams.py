@@ -12,10 +12,10 @@ order of the sorted pair lists: at the first index k where two arrays
 differ, both agree on every pair with an endpoint below k, so in both k is
 the smaller end of its pair, and the pair lists first differ at (k, m[k]).
 A `Matching` equals the plain tuple of its entries and hashes the same, so
-either can stand for the other as a dict key.  `generator_images` hands out
-plain tuples, which are cheaper to build, and an `AlgebraElement` keys its
-terms by whichever it was given; a `Matching` is built only where terms are
-read out.
+either can stand for the other as a dict key.  The generator products of
+`elements` build plain tuples, which are cheaper, and an `AlgebraElement`
+keys its terms by whichever it was given; a `Matching` is built only where
+terms are read out.
 
 The product x * y stacks x above y: x's bottom row is glued to y's top row,
 the composite matching is read off the glued picture, and closed loops in the
@@ -191,13 +191,13 @@ def compose(upper: Matching, lower: Matching) -> tuple[Matching, int]:
     return _new(Matching, out), loops
 
 
-# Kinds of the generator matchings that `generator_images` multiplies by.
-IDENTITY, CUP, CROSS = "1", "e", "v"
+# Generator kinds, each the index of its coefficient in alpha + beta e_i + gamma v_i.
+IDENTITY, CUP, CROSS = 0, 1, 2
 
-_generator_tables: dict[int, dict[Matching, tuple[str, int]]] = {}
+_generator_tables: dict[int, dict[Matching, tuple[int, int]]] = {}
 
 
-def generator_table(n: int) -> dict[Matching, tuple[str, int]]:
+def generator_table(n: int) -> dict[Matching, tuple[int, int]]:
     """The 2n-1 generator matchings on n strands, each mapped to (kind, site).
 
     The identity maps to (IDENTITY, 0), e_i to (CUP, i) and v_i to (CROSS, i).
@@ -211,61 +211,6 @@ def generator_table(n: int) -> dict[Matching, tuple[str, int]]:
             table[v_diagram(i, n)] = (CROSS, i)
         _generator_tables[n] = table
     return table
-
-
-def generator_images(ms, n: int, kind: str, i: int) -> tuple[list[tuple], list[int]]:
-    """`compose(m, g)` for each m in ms, g the generator (kind, i) of `generator_table`.
-
-    Returns the glued partner arrays and the loops each product closes, as
-    two lists in the order of ms.  Every m is a partner array on n strands,
-    a `Matching` or a plain tuple, and every image is a plain tuple: it
-    equals the `Matching` that `compose` gives, without the cost of building
-    one.  The kind and the site are checked once for the batch, then each
-    product is read off m's bottoms alone.  Below m, v_i swaps the partners
-    of B_i and B_{i+1}.  e_i joins those partners and pairs B_i with
-    B_{i+1}; when m already pairs them, its cap closes a loop and m is
-    unchanged.  Either way four entries change.  The identity's site is not
-    looked at.
-    """
-    if kind == IDENTITY:
-        return [tuple(m) for m in ms], [0] * len(ms)
-    if kind != CUP and kind != CROSS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    if not 0 < i < n:
-        raise ValueError(f"site index {i} out of range for n={n}")
-    a = n + i - 1
-    b = a + 1
-    images = []
-    if kind == CROSS:
-        for m in ms:
-            pa = m[a]
-            if pa == b:
-                images.append(tuple(m))
-                continue
-            pb = m[b]
-            w = list(m)
-            w[a] = pb
-            w[pb] = a
-            w[b] = pa
-            w[pa] = b
-            images.append(tuple(w))
-        return images, [0] * len(images)
-    loops = []
-    for m in ms:
-        pa = m[a]
-        if pa == b:
-            images.append(tuple(m))
-            loops.append(1)
-            continue
-        pb = m[b]
-        w = list(m)
-        w[pa] = pb
-        w[pb] = pa
-        w[a] = b
-        w[b] = a
-        images.append(tuple(w))
-        loops.append(0)
-    return images, loops
 
 
 def closure_loops(m: Matching) -> int:

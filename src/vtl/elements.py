@@ -6,10 +6,10 @@ closed loop produced while gluing two diagrams contributes one factor of
 lambda.
 
 Terms are keyed by partner arrays: a `Matching`, or the equal plain tuple
-that `generator_images` builds more cheaply.  They are stored unordered and
-sorted by matching when read out: `terms()` hands out `Matching` keys in
-that order, and `to_obj`, `__repr__`, pickling and a rep's witness read them
-through it.
+that x * (alpha + beta e_i + gamma v_i), every symbol image, builds in one
+pass over the v_i-orbits {m, m v_i} of x's diagrams.  They are stored
+unordered; `terms()` sorts them and hands out `Matching`s, and `to_obj`,
+`__repr__`, pickling and a rep's witness read them through it.
 
 Coefficients are stored as pairs of ints over one denominator per element.
 A run's scalars share one field Q(sqrt D) with D = Dn/Dd stored reduced, and
@@ -31,14 +31,10 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .diagrams import (
-    CROSS,
-    CUP,
-    IDENTITY,
     Matching,
     closure_loops,
     compose,
     e_diagram,
-    generator_images,
     generator_table,
     identity_diagram,
     v_diagram,
@@ -257,19 +253,11 @@ def v_element(i: int, n: int) -> AlgebraElement:
 def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElement:
     """Bilinear extension of diagram stacking, with lambda per closed loop.
 
-    When every term of y is a generator matching (the identity, some e_i or
-    v_i), as in every symbol image, each product is read off x's diagrams by
-    `generator_images`, all of x's diagrams in one batch per term of y;
-    otherwise each pair of diagrams is glued by `compose`.  On the generator
-    path the coefficients of x that land on one diagram under e_i are summed
-    first, a closed loop weighted by lambda, and the sum is scaled by the
-    generator's coefficient once: e_i sends many diagrams to one, while the
-    identity and v_i send them one to one and close no loop.
-
+    A right factor alpha + beta e_i + gamma v_i at one site i (every symbol
+    image) goes through `_site_terms`, any other through `_glued_terms`.
     All of it is int arithmetic on the stored pairs: with r = Dn*Dd,
     (a + b sqrt r)(c + d sqrt r) = (ac + r bd) + (ad + bc) sqrt r, and
-    lambda = (lp + lq sqrt r)/lden is a pair over its own denominator, so
-    the result lies over x's, y's and lambda's denominators multiplied.
+    lambda = (lp + lq sqrt r)/lden is a pair over its own denominator.
     """
     if x.n != y.n:
         raise StrandMismatchError(f"cannot multiply elements on n={x.n} and n={y.n}")
@@ -280,40 +268,103 @@ def element_multiply(x: AlgebraElement, y: AlgebraElement, lam) -> AlgebraElemen
     if lfield != field:
         field = _join(field, lfield)
     root = _radicand(field)
-    n = x.n
-    table = generator_table(n)
-    factors = []
+    den, terms = _site_terms(x, y, lp, lq, lden, root) or _glued_terms(x, y, lp, lq, lden, root)
+    return AlgebraElement._trusted(x.n, den, field, terms)
+
+
+def _site_terms(x: AlgebraElement, y: AlgebraElement, lp: int, lq: int, lden: int,
+                root: int) -> tuple[int, dict[tuple, tuple[int, int]]] | None:
+    """The denominator and pairs of x * y for y = alpha + beta e_i + gamma v_i.
+
+    None unless y is nonzero and its terms are generator matchings, its e_i
+    and v_i at one site i.  Products are read off m's bottoms: v_i swaps the
+    partners of B_i and B_{i+1}; e_i joins them and pairs B_i with B_{i+1}.
+    A cap diagram m, which pairs them already, gets (alpha + gamma + beta
+    lambda) x_m.  Any other m and m v_i form an orbit with one cup image
+    m e_i: alpha x_m + gamma x_{m v_i} is written on m, its mirror on m v_i
+    (nothing else lands on either), and beta (x_m + x_{m v_i}) is added to
+    m e_i.  The identity or v_i alone permutes x's diagrams; what e_i alone
+    lands on one diagram is summed, then scaled once.  Keys are plain tuples.
+    """
+    table = generator_table(x.n)
+    coeffs = [None, None, None]  # the pairs of 1, e_i and v_i
+    site = 0
     for my, pair in y._terms.items():
         gen = table.get(my)
-        if gen is None:
-            den, terms = _glued_terms(x, y, lp, lq, lden, root)
-            return AlgebraElement._trusted(n, den, field, terms)
-        factors.append((gen, pair))
-    terms: dict[Matching, tuple[int, int]] = {}
-    for (kind, site), (cp, cq) in factors:
-        if kind == CUP:
-            images: dict[Matching, tuple[int, int]] = {}
-            landing, closed = generator_images(x._terms, n, CUP, site)
-            for glued, loops, (p, q) in zip(landing, closed, x._terms.values()):
-                if loops:  # a product closes at most one loop
-                    p, q = p * lp + root * q * lq, p * lq + q * lp
-                elif lden != 1:
+        if gen is None or (site and gen[1] and gen[1] != site):
+            return None  # not a generator, or a second site
+        kind, i = gen
+        site = site or i  # the identity's site is 0
+        coeffs[kind] = pair
+    one, cup, cross = coeffs
+    if not site and one is None:
+        return None  # y = 0
+    a, b = x.n + site - 1, x.n + site  # B_i and B_{i+1}
+    xt, den = x._terms, x._den * y._den
+    terms: dict[tuple, tuple[int, int]] = {}
+    if not site:  # the identity alone
+        terms = {tuple(m): pair for m, pair in xt.items()}
+    elif one is None and cup is None:
+        for m, pair in xt.items():
+            pa = m[a]
+            if pa != b:
+                pb = m[b]
+                m = list(m)
+                m[a], m[pb], m[b], m[pa] = pb, a, pa, b
+            terms[tuple(m)] = pair
+    elif one is None and cross is None:
+        for m, (p, q) in xt.items():
+            pa = m[a]
+            if pa == b:  # a product closes at most one loop
+                p, q = p * lp + root * q * lq, p * lq + q * lp
+            else:
+                pb = m[b]
+                m = list(m)
+                m[a], m[b], m[pa], m[pb] = b, a, pb, pa
+                if lden != 1:
                     p, q = p * lden, q * lden
-                prev = images.get(glued)
-                images[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
-        else:  # one to one and no loop closes: the weight is lden/lden
-            cp, cq = cp * lden, cq * lden
-            images = x._terms if kind == IDENTITY else dict(
-                zip(generator_images(x._terms, n, CROSS, site)[0], x._terms.values())
-            )
-        if not terms and cp == 1 and not cq:  # a first factor of numerator 1
-            terms = dict(images) if images is x._terms else images  # never x's own dict
-            continue
-        for glued, (p, q) in images.items():
-            p, q = p * cp + root * q * cq, p * cq + q * cp
-            prev = terms.get(glued)
-            terms[glued] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
-    return AlgebraElement._trusted(n, x._den * y._den * lden, field, terms)
+            m = tuple(m)
+            prev = terms.get(m)
+            terms[m] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
+        den *= lden
+    else:
+        (ap, aq), (bp, bq), (gp, gq) = (pair or (0, 0) for pair in coeffs)
+        kp = (ap + gp) * lden + bp * lp + root * bq * lq  # the cap weight, over lden
+        kq = (aq + gq) * lden + bp * lq + bq * lp
+        ap, aq, bp, bq, gp, gq = ap * lden, aq * lden, bp * lden, bq * lden, gp * lden, gq * lden
+        for m, (p, q) in xt.items():
+            pa = m[a]
+            if pa == b:
+                r, s = p * kp + root * q * kq, p * kq + q * kp
+                m = tuple(m)
+            elif m in terms:  # written with the rest of its orbit
+                continue
+            else:
+                pb = m[b]
+                w = list(m)
+                op = oq = 0  # without v_i, m is an orbit of its own
+                if cross is not None:
+                    w[a], w[pb], w[b], w[pa] = pb, a, pa, b
+                    mv = tuple(w)
+                    op, oq = xt.get(mv, (0, 0))
+                    terms[mv] = (op * ap + p * gp + root * (oq * aq + q * gq),
+                                 op * aq + oq * ap + p * gq + q * gp)
+                if one is not None or op or oq:  # else nothing lands on m
+                    terms[tuple(m)] = (p * ap + op * gp + root * (q * aq + oq * gq),
+                                       p * aq + q * ap + op * gq + oq * gp)
+                if cup is None:
+                    continue
+                w[a], w[b], w[pa], w[pb] = b, a, pb, pa
+                m = tuple(w)
+                p, q = p + op, q + oq
+                r, s = p * bp + root * q * bq, p * bq + q * bp
+            prev = terms.get(m)
+            terms[m] = (r, s) if prev is None else (prev[0] + r, prev[1] + s)
+        return den * lden, terms
+    cp, cq = cup or cross or one
+    if cp != 1 or cq:  # what lands on one diagram is scaled once
+        terms = {m: (p * cp + root * q * cq, p * cq + q * cp) for m, (p, q) in terms.items()}
+    return den, terms
 
 
 def _loop_weight(lp: int, lq: int, lden: int, root: int, k: int, top: int) -> tuple[int, int]:

@@ -53,6 +53,7 @@ class DiagramRep:
     """The diagram algebra on n strands at a fixed loop value lambda."""
 
     kind = "diagram"
+    payload = "terms"  # the key of `vtl eval`'s JSON value
     d = None
     probe_samples = 20
 
@@ -95,6 +96,11 @@ class DiagramRep:
         norm = f"{len(terms)} terms, max |coeff| ~= {size:.6g}"
         return norm, {"matching": m.to_obj(), "coeff": c.to_obj()}
 
+    def eval_lines(self, word: str, x) -> list[str]:
+        """`vtl eval`'s text form of x, the product of `word`."""
+        head = [f"{word}  (n={self.n}, lambda={self.lam})"] + (["= 0"] if x.is_zero else [])
+        return head + [f"  {c}  *  {m.to_obj()}" for m, c in x.terms()]
+
     def probes(self, seed: int, samples: int) -> list[dict]:
         """Associativity and trace cyclicity on random diagram triples."""
         rng = random.Random(seed)
@@ -130,6 +136,7 @@ class MatrixRep:
     """Tensor representation on (C^d)^(x n); e_i and v_i act on sites i, i+1."""
 
     kind = "matrix"
+    payload = "matrix"
 
     def __init__(self, n: int, d: int):
         if n < 1:
@@ -190,6 +197,11 @@ class MatrixRep:
         norm = f"{len(entries)} entries, max |entry| ~= {size:.6g}"
         return norm, {"row": r, "col": c, "entry": entry.to_obj()}
 
+    def eval_lines(self, word: str, x) -> list[str]:
+        """`vtl eval`'s text form of x, the product of `word`."""
+        head = f"{word}  (n={self.n}, d={self.d}: {x.rows}x{x.cols} matrix)"
+        return [head, f"trace = {x.trace()}", f"nonzero entries = {x.nnz}"]
+
     def probes(self, seed: int, samples: int) -> list[dict]:
         """Stacking two random diagrams is their matrices' product."""
         rng = random.Random(seed)
@@ -237,7 +249,7 @@ def rho_image(rep: Rep, i: int, params: RhoParams):
     return rep.one().scale(params.a) + rep.e(i).scale(params.b) + rep.v(i).scale(params.c)
 
 
-def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None):
+def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None, images=None):
     if sym.kind == E:
         return rep.e(sym.index)
     if sym.kind == V:
@@ -246,9 +258,12 @@ def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None
         raise ValueError(f"symbol {sym!r} needs rho parameters")
     if sym.kind == RHO:
         return rho_image(rep, sym.index, params)
-    inverse = params.inverse(rep.lam)
+    images = {} if images is None else images
+    inverse = images.get(RHO_INV)  # kept once per image dict or word table
     if inverse is None:
-        raise NonInvertibleError(f"rho_{sym.index} is not invertible here")
+        inverse = images[RHO_INV] = params.inverse(rep.lam)
+        if inverse is None:
+            raise NonInvertibleError(f"rho_{sym.index} is not invertible here")
     return rho_image(rep, sym.index, inverse)
 
 
@@ -259,9 +274,9 @@ def evaluate_word(
 
     `word` is a GeneratorWord, whose strand count must match the rep's, or a
     bare sequence of symbols such as the words inside an Expr.  Each distinct
-    symbol's image (for `r<k>^-1` an inverse) is built once and kept in
-    `images`, a symbol -> image dict that callers may share between words
-    evaluated in the same rep at the same params.
+    symbol's image (for `r<k>^-1` an inverse, whose parameters are computed
+    once) is built once and kept in `images`, a symbol -> image dict that
+    callers may share between words evaluated in the same rep at the same params.
     """
     if isinstance(word, GeneratorWord):
         if word.n != rep.n:
@@ -273,7 +288,7 @@ def evaluate_word(
     for sym in word:
         image = images.get(sym)
         if image is None:
-            image = images[sym] = symbol_image(rep, sym, params)
+            image = images[sym] = symbol_image(rep, sym, params, images)
         out = image if out is None else rep.mul(out, image)
     return rep.one() if out is None else out
 
@@ -306,7 +321,7 @@ def evaluate_expr(
         for j in range(k, len(word)):
             image = table.get(word[j : j + 1])
             if image is None:
-                image = table[word[j : j + 1]] = symbol_image(rep, word[j], params)
+                image = table[word[j : j + 1]] = symbol_image(rep, word[j], params, table)
             value = image if value is None else rep.mul(value, image)
             table[word[: j + 1]] = value
         total = total + (rep.one() if value is None else value).scale(coeff)

@@ -7,9 +7,11 @@ for the Markov closure.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from vtl import elements
 from vtl.diagrams import (
     CROSS,
     CUP,
@@ -19,7 +21,6 @@ from vtl.diagrams import (
     compose,
     e_diagram,
     endpoint_label,
-    generator_images,
     generator_table,
     identity_diagram,
     matching_from_labels,
@@ -28,7 +29,17 @@ from vtl.diagrams import (
     random_matching,
     v_diagram,
 )
+from vtl.elements import (
+    AlgebraElement,
+    e_element,
+    element_multiply,
+    identity_element,
+    v_element,
+)
 from vtl.errors import StrandMismatchError
+from vtl.scalars import QuadScalar, as_scalar
+
+from test_elements import element_multiply_oracle
 
 
 def compose_oracle(upper, lower):
@@ -201,11 +212,37 @@ def test_compose_results_pass_validation_for_every_pair():
                 assert (glued, loops) == compose_oracle(x, y)
 
 
+def counting_compose(monkeypatch):
+    """Route `elements.compose` through a counter; returns the list of calls."""
+    calls = []
+    monkeypatch.setattr(elements, "compose", lambda up, low: calls.append(1) or compose(up, low))
+    return calls
+
+
+SQRT5 = QuadScalar.root(5)
+# (x's coefficient for the k-th matching, (alpha, beta, gamma) of the right
+# factor alpha + beta e_i + gamma v_i) in Q and in Q(sqrt 5); x drops every
+# third matching in Q, so some v_i-orbits are half in x.
+KERNEL_FIELDS = {
+    "Q": (
+        lambda k: None if k % 3 == 2 else as_scalar(Fraction(k % 7 - 3, 1 + k % 2)),
+        [(1, 1, 1), (2, Fraction(-1, 2), 3)],
+    ),
+    "sqrt5": (
+        lambda k: Fraction(k % 5 - 2, 3) + SQRT5 * (k % 3 - 1),
+        [(1, 1, 1), (1 - SQRT5, SQRT5 / 2, Fraction(-3))],
+    ),
+}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_apply_generator_matches_compose_for_every_matching(n):
-    """`generator_images` on all matchings at n in one batch per generator
-    (945 x 9 products at n = 5), each product against `compose`; every image
-    is a plain tuple equal to the `Matching` that `compose` gives."""
+def test_apply_generator_matches_compose_for_every_matching(n, monkeypatch):
+    """`element_multiply` of x, holding every matching at n (945 at n = 5) or
+    two in three of them, by alpha + beta e_i + gamma v_i for every site i
+    and every non-empty subset of {1, e_i, v_i}, against
+    `element_multiply_oracle`, in Q and in Q(sqrt 5), at lambda = 0, 5/2 and
+    1 + sqrt 5.  Every such factor goes through the generator kernel, never
+    `compose`, and keys its terms by plain tuples."""
     generators = [(IDENTITY, 0, identity_diagram(n))]
     for i in range(1, n):
         generators += [(CUP, i, e_diagram(i, n)), (CROSS, i, v_diagram(i, n))]
@@ -214,31 +251,60 @@ def test_apply_generator_matches_compose_for_every_matching(n):
     for kind, i, g in generators:
         assert table[g] == (kind, i)
     ms = all_matchings(n)
-    for kind, i, g in generators:
-        images, closed = generator_images(ms, n, kind, i)
-        assert len(images) == len(closed) == len(ms)
-        for m, got, loops in zip(ms, images, closed):
-            want, want_loops = compose(m, g)
-            assert loops == want_loops
-            assert type(got) is tuple and got == want
+    one = identity_diagram(n)
+    calls = counting_compose(monkeypatch)
+
+    def check(x, y, lam):
+        calls.clear()
+        got = element_multiply(x, y, lam)
+        want = AlgebraElement(n, element_multiply_oracle(x, y, lam))
+        assert got == want and got.terms() == want.terms()
+        assert not calls
+        assert all(type(m) is tuple for m in got._terms)
+
+    for coeff_of, factors in KERNEL_FIELDS.values():
+        terms = {m: coeff_of(k) for k, m in enumerate(ms)}
+        x = AlgebraElement(n, {m: c for m, c in terms.items() if c is not None})
+        for lam in (0, Fraction(5, 2), QuadScalar(1, 1, 5)):
+            for alpha, _, _ in factors:  # the identity alone, at no site
+                check(x, AlgebraElement(n, {one: as_scalar(alpha)}), lam)
+            for i in range(1, n):
+                g = (one, e_diagram(i, n), v_diagram(i, n))
+                for abc in factors:
+                    for subset in range(2, 8):  # the other subsets, with e_i or v_i
+                        y = {g[j]: as_scalar(abc[j]) for j in range(3) if subset >> j & 1}
+                        check(x, AlgebraElement(n, y), lam)
 
 
-def test_apply_generator_closes_a_loop_only_on_a_cup():
-    m = e_diagram(2, 4)
-    other = e_diagram(1, 4)
-    assert generator_images([m], 4, CUP, 2) == ([m], [1])
-    assert generator_images([m], 4, CROSS, 2) == ([m], [0])
-    assert generator_images([m, other, m], 4, CUP, 1)[1] == [0, 1, 0]
-    assert generator_images({m: None, other: None}, 4, IDENTITY, 0) == ([m, other], [0, 0])
-    for kind, i in ((IDENTITY, 0), (CUP, 1), (CROSS, 3)):
-        assert generator_images([], 4, kind, i) == ([], [])
-    # the kind and the site are checked for the batch, even an empty one
-    for ms in ([m], []):
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            generator_images(ms, 4, "x", 1)
-        for kind, i in ((CUP, 0), (CROSS, 4), (CUP, -1)):
-            with pytest.raises(ValueError, match="out of range"):
-                generator_images(ms, 4, kind, i)
+def test_apply_generator_closes_a_loop_only_on_a_cup(monkeypatch):
+    """Only a cap diagram, one that pairs B_i with B_{i+1}, closes a loop under
+    e_i, and v_i fixes it; any other diagram m shares its one cup image with
+    m v_i, which gets the mirror of m's coefficients."""
+    calls = counting_compose(monkeypatch)
+    lam = Fraction(5, 2)
+    n = 4
+    cap = e_element(2, n)  # pairs B2 with B3
+    other = e_element(1, n)
+    one = identity_element(n)
+    y = one.scale(2) + e_element(2, n).scale(3) + v_element(2, n).scale(5)
+    assert element_multiply(cap, e_element(2, n), lam) == cap.scale(lam)
+    assert element_multiply(cap, v_element(2, n), lam) == cap
+    assert element_multiply(cap, y, lam) == cap.scale(2 + 3 * lam + 5)
+    # e_1 e_2 closes no loop, and e_1 v_2 is a diagram of its own
+    e1e2, loops = compose(e_diagram(1, n), e_diagram(2, n))
+    e1v2, _ = compose(e_diagram(1, n), v_diagram(2, n))
+    assert loops == 0 and e1v2 not in (e1e2, e_diagram(1, n))
+    e1e2, e1v2 = AlgebraElement.from_matching(e1e2), AlgebraElement.from_matching(e1v2)
+    assert element_multiply(other, e_element(2, n), lam) == e1e2
+    assert element_multiply(other, y, lam) == other.scale(2) + e1e2.scale(3) + e1v2.scale(5)
+    # both members of the orbit {e_1, e_1 v_2} in x, landing on one cup image
+    x = other.scale(7) + e1v2.scale(-1)
+    want = other.scale(14 - 5) + e1v2.scale(-2 + 35) + e1e2.scale(3 * (7 - 1))
+    assert element_multiply(x, y, lam) == want
+    zero = AlgebraElement.zero(n)
+    assert element_multiply(zero, y, lam) == zero
+    assert element_multiply(x, zero, lam) == zero
+    assert not calls
 
 
 def test_stacking_is_associative_including_loops():

@@ -226,36 +226,58 @@ SQRT5 = QuadScalar.root(5)
 
 
 @st.composite
-def generator_span_products(draw):
+def generator_span_products(draw, sites):
     """x from random matchings and cups, y a combination of generators.
 
-    y's terms are the identity and e_i, v_i at one or two sites, as in the
-    images of rho and its inverse, with coefficients that cancel often.
+    y's terms are the identity and e_i, v_i, or one of them, at `sites`
+    distinct sites: one, as in the images of rho and its inverse, or two.
+    Coefficients cancel often.
     """
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(sites + 1, 5))
     rng = random.Random(draw(st.integers(0, 2**32)))
     pool = [random_matching(n, rng) for _ in range(3)]
     pool += [e_diagram(i, n) for i in range(1, n)]
-    coeffs = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), SQRT5])
+    nonzero = [1, -1, 2, Fraction(1, 2), SQRT5]
+    coeffs = st.sampled_from([0] + nonzero)
     x_terms = {}
     for m in draw(st.lists(st.sampled_from(pool), max_size=5)):
         x_terms[m] = as_scalar(draw(coeffs))
-    generators = [identity_diagram(n)]
-    for i in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2)):
-        generators += [e_diagram(i, n), v_diagram(i, n)]
-    y_terms = {g: as_scalar(draw(coeffs)) for g in generators}
+    y_terms = {identity_diagram(n): as_scalar(draw(coeffs))}
+    for i in draw(st.lists(st.integers(1, n - 1), min_size=sites, max_size=sites, unique=True)):
+        pick = draw(st.sampled_from([(e_diagram,), (v_diagram,), (e_diagram, v_diagram)]))
+        for diagram in pick:
+            y_terms[diagram(i, n)] = as_scalar(draw(st.sampled_from(nonzero)))
     return AlgebraElement(n, x_terms), AlgebraElement(n, y_terms)
 
 
-@given(generator_span_products(), st.sampled_from([0, 1, 3, Fraction(5, 2)]))
+@given(generator_span_products(1), st.sampled_from([0, 1, 3, Fraction(5, 2)]))
 @settings(max_examples=300, deadline=None)
 def test_generator_products_equal_glued_products(pair, lam):
+    """One-site right factors go through the generator kernel, never `compose`."""
     x, y = pair
-    got = element_multiply(x, y, lam)
     want = glued_product(x, y, lam)
+
+    def no_compose(upper, lower):
+        raise AssertionError("a one-site product went through compose")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elements, "compose", no_compose)
+        got = element_multiply(x, y, lam)
     assert got == want
     assert got.terms() == want.terms()
     assert hash(got) == hash(want)
+    assert all(type(m) is tuple for m in got._terms)
+
+
+@given(generator_span_products(2), st.sampled_from([0, 1, 3, Fraction(5, 2)]))
+@settings(max_examples=150, deadline=None)
+def test_two_site_products_equal_the_oracle(pair, lam):
+    """Generator sums at two sites are not symbol images; they are glued by
+    `compose` and agree with the QuadScalar oracle term by term."""
+    x, y = pair
+    got = element_multiply(x, y, lam)
+    assert_terms(got, element_multiply_oracle(x, y, lam))
+    assert got == glued_product(x, y, lam)
 
 
 def test_generator_products_weight_loops_and_cancel(monkeypatch):
@@ -551,7 +573,7 @@ def test_terms_are_sorted_on_read_out_whatever_the_storage_order():
     keys = [m for m, _ in x.terms()]
     assert keys == sorted(set(ms))
     # a product's keys are the plain tuples of the generator kernel
-    z = element_multiply(x, v_element(1, n) + e_element(3, n), lam)
+    z = element_multiply(x, v_element(3, n) + e_element(3, n), lam)
     assert {type(m) for m in z._terms} == {tuple}
     for elem in (x, y, z):
         terms = elem.terms()

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from vtl import relations
+from vtl import elements, relations
 from vtl.elements import element_multiply, v_element
 from vtl.errors import DegenerateParamsError
 from vtl.expressions import gen_e, gen_v
@@ -548,3 +548,24 @@ def test_registry_gives_each_point_its_own_coefficients():
                 assert got == want[family], (round_, family)
     one, other = (placements("vTL", 3, p)[0].shape for p in points)
     assert one != other
+
+
+def test_shape_checks_never_glue_through_compose(monkeypatch):
+    """Every shape of the 16 families, checked in the diagram rep at the three
+    parameter points of the diagram benchmark through per-size word tables
+    (as `run_verify` checks them), multiplies by symbol images alone, which
+    the generator kernel of `element_multiply` takes without `compose`."""
+
+    def no_compose(upper, lower):
+        raise AssertionError("a shape check went through compose")
+
+    monkeypatch.setattr(elements, "compose", no_compose)
+    assert len(FAMILIES) == 16
+    for p in (solved_params(3, c=1), params_at(1, 2, 3, Fraction(5, 2)), params_at(1, -1, 1, 2)):
+        local = {}
+        for family in sorted(FAMILIES):
+            for place in placements(family, 4, p):
+                k = place.shape.n
+                rep, table = local.setdefault(k, (DiagramRep(k, p.lam), {}))
+                check_relation(place.shape, rep, p, table)
+        assert sorted(local) == [2, 3, 4]

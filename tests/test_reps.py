@@ -201,7 +201,7 @@ def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
         RhoParams, "inverse", lambda self, lam: calls.append(lam) or inverse(self, lam)
     )
     assert evaluate_word(word, rep, p) == expected
-    assert len(calls) == 2  # r1^-1 and r2^-1
+    assert len(calls) == 1  # once for r1^-1 and r2^-1 together
     # the words of one expression share a table
     inv1 = Expr.gen(GeneratorSymbol(RHO_INV, 1))
     expr = inv1 * gen_e(2) * inv1 + (gen_rho(2) * inv1).scale(3)
@@ -211,6 +211,14 @@ def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
     calls.clear()
     assert evaluate_expr(expr, rep, p) == expected
     assert len(calls) == 1
+    # a word without inverse letters computes no inverse
+    calls.clear()
+    evaluate_word(parse_word("r1 v2 e1 r2", 3), rep, p)
+    assert not calls
+    # where rho has no inverse, the first inverse letter reached is named
+    singular = RhoParams.make(1, 1, 1, lam)
+    with pytest.raises(NonInvertibleError, match=r"^rho_2 is not invertible here$"):
+        evaluate_word(parse_word("r1 r2^-1 r1^-1", 3), rep, singular)
 
 
 B_PLUS = solve_ab(3)[0]  # a root of b^2 + 3b + 1, in Q(sqrt 5)
