@@ -31,6 +31,9 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .diagrams import (
+    CROSS,
+    CUP,
+    IDENTITY,
     Matching,
     closure_loops,
     compose,
@@ -283,8 +286,8 @@ def _site_terms(x: AlgebraElement, y: AlgebraElement, lp: int, lq: int, lden: in
     lambda) x_m.  Any other m and m v_i form an orbit with one cup image
     m e_i: alpha x_m + gamma x_{m v_i} is written on m, its mirror on m v_i
     (nothing else lands on either), and beta (x_m + x_{m v_i}) is added to
-    m e_i.  The identity or v_i alone permutes x's diagrams; what e_i alone
-    lands on one diagram is summed, then scaled once.  Keys are plain tuples.
+    m e_i.  The identity or v_i alone permutes x's diagrams, then scales
+    them.  Keys are plain tuples.
     """
     table = generator_table(x.n)
     coeffs = [None, None, None]  # the pairs of 1, e_i and v_i
@@ -296,7 +299,7 @@ def _site_terms(x: AlgebraElement, y: AlgebraElement, lp: int, lq: int, lden: in
         kind, i = gen
         site = site or i  # the identity's site is 0
         coeffs[kind] = pair
-    one, cup, cross = coeffs
+    one, cup, cross = coeffs[IDENTITY], coeffs[CUP], coeffs[CROSS]
     if not site and one is None:
         return None  # y = 0
     a, b = x.n + site - 1, x.n + site  # B_i and B_{i+1}
@@ -312,23 +315,8 @@ def _site_terms(x: AlgebraElement, y: AlgebraElement, lp: int, lq: int, lden: in
                 m = list(m)
                 m[a], m[pb], m[b], m[pa] = pb, a, pa, b
             terms[tuple(m)] = pair
-    elif one is None and cross is None:
-        for m, (p, q) in xt.items():
-            pa = m[a]
-            if pa == b:  # a product closes at most one loop
-                p, q = p * lp + root * q * lq, p * lq + q * lp
-            else:
-                pb = m[b]
-                m = list(m)
-                m[a], m[b], m[pa], m[pb] = b, a, pb, pa
-                if lden != 1:
-                    p, q = p * lden, q * lden
-            m = tuple(m)
-            prev = terms.get(m)
-            terms[m] = (p, q) if prev is None else (prev[0] + p, prev[1] + q)
-        den *= lden
     else:
-        (ap, aq), (bp, bq), (gp, gq) = (pair or (0, 0) for pair in coeffs)
+        (ap, aq), (bp, bq), (gp, gq) = (pair or (0, 0) for pair in (one, cup, cross))
         kp = (ap + gp) * lden + bp * lp + root * bq * lq  # the cap weight, over lden
         kq = (aq + gq) * lden + bp * lq + bq * lp
         ap, aq, bp, bq, gp, gq = ap * lden, aq * lden, bp * lden, bq * lden, gp * lden, gq * lden
@@ -361,8 +349,8 @@ def _site_terms(x: AlgebraElement, y: AlgebraElement, lp: int, lq: int, lden: in
             prev = terms.get(m)
             terms[m] = (r, s) if prev is None else (prev[0] + r, prev[1] + s)
         return den * lden, terms
-    cp, cq = cup or cross or one
-    if cp != 1 or cq:  # what lands on one diagram is scaled once
+    cp, cq = cross or one
+    if cp != 1 or cq:
         terms = {m: (p * cp + root * q * cq, p * cq + q * cp) for m, (p, q) in terms.items()}
     return den, terms
 

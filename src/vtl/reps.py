@@ -249,22 +249,27 @@ def rho_image(rep: Rep, i: int, params: RhoParams):
     return rep.one().scale(params.a) + rep.e(i).scale(params.b) + rep.v(i).scale(params.c)
 
 
-def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None, images=None):
+def symbol_image(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None = None, inverse=None):
+    """The image of `sym` in `rep`; `inverse`, if given, is `inverse_params`'s value."""
     if sym.kind == E:
         return rep.e(sym.index)
     if sym.kind == V:
         return rep.v(sym.index)
+    if sym.kind == RHO_INV:
+        return rho_image(rep, sym.index, inverse or inverse_params(rep, sym, params))
     if params is None:
         raise ValueError(f"symbol {sym!r} needs rho parameters")
-    if sym.kind == RHO:
-        return rho_image(rep, sym.index, params)
-    images = {} if images is None else images
-    inverse = images.get(RHO_INV)  # kept once per image dict or word table
+    return rho_image(rep, sym.index, params)
+
+
+def inverse_params(rep: Rep, sym: GeneratorSymbol, params: RhoParams | None) -> RhoParams:
+    """The parameters of rho^-1 for the inverse letter `sym`, named if there is none."""
+    if params is None:
+        raise ValueError(f"symbol {sym!r} needs rho parameters")
+    inverse = params.inverse(rep.lam)
     if inverse is None:
-        inverse = images[RHO_INV] = params.inverse(rep.lam)
-        if inverse is None:
-            raise NonInvertibleError(f"rho_{sym.index} is not invertible here")
-    return rho_image(rep, sym.index, inverse)
+        raise NonInvertibleError(f"rho_{sym.index} is not invertible here")
+    return inverse
 
 
 def evaluate_word(
@@ -274,9 +279,10 @@ def evaluate_word(
 
     `word` is a GeneratorWord, whose strand count must match the rep's, or a
     bare sequence of symbols such as the words inside an Expr.  Each distinct
-    symbol's image (for `r<k>^-1` an inverse, whose parameters are computed
-    once) is built once and kept in `images`, a symbol -> image dict that
-    callers may share between words evaluated in the same rep at the same params.
+    symbol's image is built once and kept in `images`, a symbol -> image dict
+    that callers may share between words evaluated in the same rep at the same
+    params.  The inverse parameters of `r<k>^-1` letters are computed at most
+    once per call.
     """
     if isinstance(word, GeneratorWord):
         if word.n != rep.n:
@@ -284,11 +290,13 @@ def evaluate_word(
         word = word.symbols
     if images is None:
         images = {}
-    out = None
+    out = inverse = None
     for sym in word:
         image = images.get(sym)
         if image is None:
-            image = images[sym] = symbol_image(rep, sym, params, images)
+            if sym.kind == RHO_INV and inverse is None:
+                inverse = inverse_params(rep, sym, params)
+            image = images[sym] = symbol_image(rep, sym, params, inverse)
         out = image if out is None else rep.mul(out, image)
     return rep.one() if out is None else out
 
@@ -313,6 +321,7 @@ def evaluate_expr(
         for word, coeff in expr.terms.items():
             total = total + evaluate_word(word, rep, params, images).scale(coeff)
         return total
+    inverse = None
     for word, coeff in expr.terms.items():
         k = len(word)
         while k and word[:k] not in table:
@@ -321,7 +330,10 @@ def evaluate_expr(
         for j in range(k, len(word)):
             image = table.get(word[j : j + 1])
             if image is None:
-                image = table[word[j : j + 1]] = symbol_image(rep, word[j], params, table)
+                sym = word[j]
+                if sym.kind == RHO_INV and inverse is None:
+                    inverse = inverse_params(rep, sym, params)
+                image = table[word[j : j + 1]] = symbol_image(rep, sym, params, inverse)
             value = image if value is None else rep.mul(value, image)
             table[word[: j + 1]] = value
         total = total + (rep.one() if value is None else value).scale(coeff)

@@ -200,8 +200,10 @@ def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
     monkeypatch.setattr(
         RhoParams, "inverse", lambda self, lam: calls.append(lam) or inverse(self, lam)
     )
-    assert evaluate_word(word, rep, p) == expected
+    images = {}
+    assert evaluate_word(word, rep, p, images) == expected
     assert len(calls) == 1  # once for r1^-1 and r2^-1 together
+    assert set(images) == set(word.symbols)  # the dict holds symbol images only
     # the words of one expression share a table
     inv1 = Expr.gen(GeneratorSymbol(RHO_INV, 1))
     expr = inv1 * gen_e(2) * inv1 + (gen_rho(2) * inv1).scale(3)
@@ -211,6 +213,11 @@ def test_each_distinct_inverse_is_computed_once_per_call(rep, lam, monkeypatch):
     calls.clear()
     assert evaluate_expr(expr, rep, p) == expected
     assert len(calls) == 1
+    calls.clear()
+    table = {}
+    assert evaluate_expr(expr, rep, p, table) == expected
+    assert len(calls) == 1
+    assert all(isinstance(key, tuple) for key in table)  # word tables hold words only
     # a word without inverse letters computes no inverse
     calls.clear()
     evaluate_word(parse_word("r1 v2 e1 r2", 3), rep, p)
