@@ -60,10 +60,8 @@ from .reps import (
 from .rho import RhoParams, solve_ab
 from .scalars import QuadScalar, as_scalar
 from .tensorrep import (
-    factor_matching,
     matching_matrix,
     perm_matrix,
-    pstar_complement,
     ptranspose_matrix,
     rep_element,
     site_embed,
@@ -105,7 +103,6 @@ __all__ = [
     "evaluate_word",
     "expand_bgr",
     "expected_zero",
-    "factor_matching",
     "gen_e",
     "gen_rho",
     "gen_v",
@@ -118,7 +115,6 @@ __all__ = [
     "parse_word",
     "perm_matrix",
     "permutation_diagram",
-    "pstar_complement",
     "ptranspose_matrix",
     "random_matching",
     "rank",

@@ -237,13 +237,23 @@ def closure_loops(m: Matching) -> int:
 def random_matching(n: int, rng: random.Random) -> Matching:
     """A matching drawn by shuffling the 2n endpoints and pairing them off.
 
-    The partner array is filled directly, as in `compose`: a shuffle pairs
-    every endpoint exactly once, so there is nothing to validate.
+    The shuffle is `random.shuffle`'s own Fisher-Yates, inline: for i = 2n-1
+    down to 1, entry i is swapped with entry j, drawn by the same rejection
+    loop (`getrandbits` of (i+1).bit_length() bits until j <= i).  So the
+    draws and the stream left behind are `rng.shuffle`'s, without its method
+    call per draw.  The partner array is filled directly, as in `compose`: a
+    shuffle pairs every endpoint exactly once, so there is nothing to validate.
     """
     if n < 1:
         raise ValueError("need at least one strand")
     points = list(range(2 * n))
-    rng.shuffle(points)
+    getrandbits = rng.getrandbits
+    for i in range(2 * n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        points[i], points[j] = points[j], points[i]
     partner = [0] * (2 * n)
     for k in range(0, 2 * n, 2):
         p, q = points[k], points[k + 1]

@@ -114,7 +114,7 @@ class AlgebraElement:
         """The element sum(terms[m] m)/den for (p, q) pairs on n strands.
 
         No strand check; zero pairs are pruned and every int divided by the
-        gcd of den and all the pairs.  `terms` may be kept as it is, so the
+        gcd of den and all the pairs, in `terms` itself, which is kept: the
         caller hands it over.
         """
         out = _new(cls)
@@ -130,6 +130,8 @@ class AlgebraElement:
 
     @classmethod
     def from_matching(cls, m: Matching, coeff=ONE) -> AlgebraElement:
+        if coeff is ONE:
+            return cls._trusted(len(m) >> 1, 1, None, {m: (1, 0)})
         p, q, den, field = _split(as_scalar(coeff))
         return cls._trusted(m.n, den, field, {m: (p, q)})
 
@@ -172,23 +174,27 @@ class AlgebraElement:
         return AlgebraElement, (self.n, dict(self.terms()))
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
+        return self._plus(other, 1)
+
+    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
+        return self._plus(other, -1)
+
+    def _plus(self, other: AlgebraElement, sign: int) -> AlgebraElement:
+        """self + sign * other in one pass over both term dicts."""
         if self.n != other.n:
             raise StrandMismatchError(f"cannot add elements on n={self.n} and n={other.n}")
         if not other._terms:
             return self
         if not self._terms:
-            return other
+            return other if sign == 1 else -other
         field = _join(self._field, other._field)
         den = lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
+        s, t = den // self._den, sign * (den // other._den)
         terms = {m: (p * s, q * s) for m, (p, q) in self._terms.items()}
         for m, (p, q) in other._terms.items():
             prev = terms.get(m)
             terms[m] = (p * t, q * t) if prev is None else (prev[0] + p * t, prev[1] + q * t)
         return AlgebraElement._trusted(self.n, den, field, terms)
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        return self + (-other)
 
     def __neg__(self) -> AlgebraElement:
         terms = {m: (-p, -q) for m, (p, q) in self._terms.items()}
@@ -221,9 +227,10 @@ _set_terms = AlgebraElement._terms.__set__
 def _fill(out: AlgebraElement, n: int, den: int, field: Field, terms: dict) -> None:
     """Store terms/den on out in canonical form: no zero pair, gcd 1.
 
-    `terms` maps partner arrays to (p, q) tuples.  It is stored as it is
-    when no pair is zero and the gcd is already 1; otherwise one pruned and
-    divided copy is.  Term order is left alone: `terms()` sorts on read-out.
+    `terms` maps partner arrays to (p, q) tuples.  It is stored, so every
+    caller hands over a dict of its own; its pairs are divided and its zero
+    pairs deleted in place.  Term order is left alone: `terms()` sorts on
+    read-out.
     """
     g = den  # stays den when nothing is kept, so an empty element gets den 1
     irrational = pruned = False
@@ -238,9 +245,45 @@ def _fill(out: AlgebraElement, n: int, den: int, field: Field, terms: dict) -> N
     _set_n(out, n)
     _set_den(out, den // g)
     _set_field(out, field if irrational else None)
-    if pruned or g != 1:
-        terms = {m: (p // g, q // g) for m, (p, q) in terms.items() if p or q}
+    if pruned:
+        for m in [m for m, (p, q) in terms.items() if not p and not q]:
+            del terms[m]
+    if g != 1:
+        for m, (p, q) in terms.items():
+            terms[m] = (p // g, q // g)
     _set_terms(out, terms)
+
+
+def element_sum(n: int, items) -> AlgebraElement:
+    """sum c x over the (x, c) pairs of `items`, elements on n strands.
+
+    One pass: every pair is put over one lcm of the denominators and added
+    into one dict, reduced once.  Two fields among the nonzero x and c raise
+    FieldMismatchError.
+    """
+    field = None
+    den = 1
+    scaled = []
+    for x, c in items:
+        if x.n != n:
+            raise StrandMismatchError(f"cannot add elements on n={n} and n={x.n}")
+        sp, sq, sden, sfield = _split(as_scalar(c))
+        if x._terms and (sp or sq):
+            field = _join(_join(field, x._field), sfield)
+            den = lcm(den, x._den * sden)
+            scaled.append((x, sp, sq, sden))
+    if len(scaled) == 1 and scaled[0][1:] == (1, 0, 1):
+        return scaled[0][0]  # the sum is 1 x
+    root = _radicand(field)
+    terms: dict[tuple, tuple[int, int]] = {}
+    for x, sp, sq, sden in scaled:
+        t = den // (x._den * sden)
+        sp, sq = sp * t, sq * t
+        for m, (p, q) in x._terms.items():
+            r, s = p * sp + root * q * sq, p * sq + q * sp
+            prev = terms.get(m)
+            terms[m] = (r, s) if prev is None else (prev[0] + r, prev[1] + s)
+    return AlgebraElement._trusted(n, den, field, terms)
 
 
 def identity_element(n: int) -> AlgebraElement:

@@ -6,7 +6,9 @@ itself (elements are AlgebraElement) and the tensor-space matrix model
 value is its local dimension d; a rep carries `n`, `lam` and `d` (None in
 the diagram rep).  Elements of both carry their own linear arithmetic (`+`,
 `-`, `.scale(s)`, `.is_zero`), so a rep supplies only what differs between
-the two: `one`, `zero`, `e`, `v`, `mul` and `invert`; `coords(x)`, x's
+the two: `one`, `zero`, `e`, `v`, `mul` and `invert`; `combine(items)`, the
+sum of c x over `(x, c)` pairs (one pass over int pairs in the diagram rep,
+a `zero() + x.scale(c)` fold in the matrix rep); `coords(x)`, x's
 nonzero `(key, QuadScalar)` pairs in sorted order (keyed by matching, or by
 `(row, col)`); `describe(x)`, x's norm string and witness, read from
 `coords`; and `probes(seed, samples)`, the rep's random self-checks as
@@ -31,6 +33,7 @@ from .elements import (
     e_element,
     element_inverse,
     element_multiply,
+    element_sum,
     identity_element,
     v_element,
 )
@@ -61,8 +64,8 @@ class DiagramRep:
         self.n = n
         self.lam = as_scalar(lam)
         self._one = identity_element(n)
-        self._e = {i: e_element(i, n) for i in range(1, n)}
-        self._v = {i: v_element(i, n) for i in range(1, n)}
+        self._e: dict[int, AlgebraElement] = {}  # built on first use
+        self._v: dict[int, AlgebraElement] = {}
 
     def one(self) -> AlgebraElement:
         return self._one
@@ -71,13 +74,17 @@ class DiagramRep:
         return AlgebraElement.zero(self.n)
 
     def e(self, i: int) -> AlgebraElement:
-        return self._e[i]
+        return self._e.get(i) or self._e.setdefault(i, e_element(i, self.n))
 
     def v(self, i: int) -> AlgebraElement:
-        return self._v[i]
+        return self._v.get(i) or self._v.setdefault(i, v_element(i, self.n))
 
     def mul(self, x, y):
         return element_multiply(x, y, self.lam)
+
+    def combine(self, items) -> AlgebraElement:
+        """sum c x over the (x, c) pairs of `items`, in one pass."""
+        return element_sum(self.n, items)
 
     def invert(self, x):
         return element_inverse(x, self.lam)
@@ -169,6 +176,13 @@ class MatrixRep:
 
     def mul(self, x, y):
         return x * y
+
+    def combine(self, items) -> DenseMatrix:
+        """sum c x over the (x, c) pairs of `items`, one scale and one add each."""
+        total = self.zero()
+        for x, c in items:
+            total = total + x.scale(c)
+        return total
 
     def invert(self, x):
         return invert(x)
@@ -306,6 +320,7 @@ def evaluate_expr(
 ):
     """Sum of coefficient times word product over the terms of `expr`.
 
+    The products are handed to `rep.combine` as they are built.
     Without `table`, each word is an `evaluate_word` fold and only the
     symbols' images are kept, for the call.  `table` also keeps products:
     it maps words (symbol tuples) to their products in `rep` at `params`,
@@ -315,12 +330,17 @@ def evaluate_expr(
     That pays where many short words share prefixes, as the registry's
     shapes do; a single expression's words share few.
     """
-    total = rep.zero()
     if table is None:
         images = {}
-        for word, coeff in expr.terms.items():
-            total = total + evaluate_word(word, rep, params, images).scale(coeff)
-        return total
+        return rep.combine(
+            (evaluate_word(word, rep, params, images), coeff)
+            for word, coeff in expr.terms.items()
+        )
+    return rep.combine(_table_products(expr, rep, params, table))
+
+
+def _table_products(expr: Expr, rep: Rep, params: RhoParams | None, table: dict):
+    """(word product, coefficient) for each term of `expr`, through `table`."""
     inverse = None
     for word, coeff in expr.terms.items():
         k = len(word)
@@ -336,5 +356,4 @@ def evaluate_expr(
                 image = table[word[j : j + 1]] = symbol_image(rep, sym, params, inverse)
             value = image if value is None else rep.mul(value, image)
             table[word[: j + 1]] = value
-        total = total + (rep.one() if value is None else value).scale(coeff)
-    return total
+        yield (rep.one() if value is None else value), coeff

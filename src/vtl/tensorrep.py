@@ -16,7 +16,6 @@ from .elements import AlgebraElement
 from .errors import StrandMismatchError
 from .linalg import DenseMatrix
 from .scalars import ONE
-from .words import E, V, GeneratorSymbol
 
 if TYPE_CHECKING:
     from .reps import MatrixRep
@@ -42,11 +41,6 @@ def ptranspose_matrix(d: int) -> DenseMatrix:
     return DenseMatrix.from_entries(
         d * d, d * d, {(x * d + x, y * d + y): 1 for x in range(d) for y in range(d)}
     )
-
-
-def pstar_complement(d: int) -> DenseMatrix:
-    """Identity minus the cup-cap; an involution exactly when d = 2."""
-    return DenseMatrix.identity(d * d) - ptranspose_matrix(d)
 
 
 def site_embed(op: DenseMatrix, i: int, rep: MatrixRep) -> DenseMatrix:
@@ -114,52 +108,3 @@ def rep_element(x: AlgebraElement, rep: MatrixRep) -> DenseMatrix:
     for m, coeff in x.terms():
         total = total + matching_matrix(m, rep).scale(coeff)
     return total
-
-
-def _transpositions_for(image: list[int]) -> list[int]:
-    """Adjacent swaps whose diagram product is the permutation diagram.
-
-    Returned values are 0-based positions j meaning the v-generator at site
-    j+1; applying the swaps in list order to the identity wiring yields the
-    wiring `image` (top k connected to bottom image[k]).
-    """
-    work = list(image)
-    swaps: list[int] = []
-    for target in range(len(work)):
-        pos = work.index(target)
-        while pos > target:
-            work[pos - 1], work[pos] = work[pos], work[pos - 1]
-            swaps.append(pos - 1)
-            pos -= 1
-    return swaps
-
-
-def factor_matching(m: Matching) -> list[GeneratorSymbol]:
-    """Write a diagram as a product of e/v generators, with zero extra loops.
-
-    The word has the sandwich shape U * (e_1 e_3 ... e_{2k-1}) * L: the upper
-    permutation U routes the k top arcs onto the leading cup-cap block and
-    the lower permutation L routes the block onto the bottom arcs and wires
-    the through strands.  Evaluating the word in the diagram algebra returns
-    exactly this matching with loop count 0.
-    """
-    n = m.n
-    top_arcs = sorted((p, q) for p, q in m.pairs if q < n)
-    bottom_arcs = sorted((p - n, q - n) for p, q in m.pairs if p >= n)
-    through = sorted((p, q - n) for p, q in m.pairs if p < n <= q)
-    k = len(top_arcs)
-
-    upper = [0] * n  # top position -> middle position
-    lower_at = [0] * n  # middle position -> bottom position
-    for s, (a, b) in enumerate(top_arcs):
-        upper[a], upper[b] = 2 * s, 2 * s + 1
-    for s, (c, e) in enumerate(bottom_arcs):
-        lower_at[2 * s], lower_at[2 * s + 1] = c, e
-    for r, (t, b) in enumerate(through):
-        upper[t] = 2 * k + r
-        lower_at[2 * k + r] = b
-
-    word = [GeneratorSymbol(V, j + 1) for j in _transpositions_for(upper)]
-    word += [GeneratorSymbol(E, 2 * s + 1) for s in range(k)]
-    word += [GeneratorSymbol(V, j + 1) for j in _transpositions_for(lower_at)]
-    return word

@@ -405,6 +405,23 @@ def test_random_matching_equals_the_validated_construction():
         random_matching(0, random.Random(0))
 
 
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+def test_random_matching_draws_what_random_shuffle_draws(n):
+    """The inline Fisher-Yates pairs off the endpoints as `rng.shuffle` orders
+    them, and leaves the stream where it does, at 2n = 16 to 24 endpoints.
+    Python's own `shuffle` is the reference, so a change to its algorithm
+    shows here."""
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            points = list(range(2 * n))
+            ref.shuffle(points)
+            assert random_matching(n, rng) == tuple(
+                points[points.index(k) ^ 1] for k in range(2 * n)
+            )
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pairs_round_trip_and_order_matches_pair_order(n):
     """Every matching at n (945 at n = 5): its pairs rebuild it, are in

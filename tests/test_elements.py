@@ -32,6 +32,7 @@ from vtl.elements import (
     e_element,
     element_inverse,
     element_multiply,
+    element_sum,
     identity_element,
     v_element,
 )
@@ -149,6 +150,86 @@ def test_trusted_results_equal_checked_construction(pair, s):
         assert result.terms() == checked.terms()
         assert hash(result) == hash(checked)
         assert all(not c.is_zero for _, c in result.terms())
+
+
+SUM_COEFFS = {
+    "rational": [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)],
+    "sqrt5": [0, 1, Fraction(1, 3), QuadScalar.root(5), QuadScalar(1, Fraction(-1, 2), 5)],
+}
+
+
+def random_sum_items(rng, n, coeffs):
+    """Up to four (element, coefficient) pairs over a pool of three matchings,
+    so that terms meet and often cancel."""
+    pool = [random_matching(n, rng) for _ in range(3)]
+    items = []
+    for _ in range(rng.randint(0, 4)):
+        terms = {m: as_scalar(rng.choice(coeffs)) for m in rng.sample(pool, rng.randint(0, 3))}
+        items.append((AlgebraElement(n, terms), rng.choice(coeffs)))
+    return items
+
+
+@pytest.mark.parametrize("field", ["rational", "sqrt5"])
+def test_element_sum_equals_the_scale_and_add_fold(field):
+    """One pass over the pairs gives the element, terms and hash of the fold
+    zero + x.scale(c) + ..., and the QuadScalar sum term by term; the one-pass
+    difference x - y is x + (-y)."""
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        items = random_sum_items(rng, n, SUM_COEFFS[field])
+        fold = AlgebraElement.zero(n)
+        want = {}
+        for x, c in items:
+            fold = fold + x.scale(c)
+            for m, cx in x.terms():
+                want[m] = want.get(m, ZERO) + cx * as_scalar(c)
+        got = element_sum(n, iter(items))
+        assert got == fold and got.terms() == fold.terms() and hash(got) == hash(fold)
+        assert_terms(got, want)
+        for (x, _), (y, _) in zip(items, items[1:]):
+            diff = x - y
+            assert diff == x + (-y) and diff.terms() == (x + (-y)).terms()
+            assert hash(diff) == hash(x + (-y))
+
+
+def test_element_sum_edge_cases():
+    """A sum that cancels is the zero element (den 1, no field), as is an
+    empty sum; an irrational sum can come out rational; a zero coefficient
+    adds nothing; two fields, or two strand counts, cannot be added."""
+    m1, m2 = e_diagram(1, 3), v_diagram(2, 3)
+    third = as_scalar(Fraction(1, 3))
+    x = AlgebraElement(3, {m1: SQRT5 * third, m2: third})
+    for zero in (element_sum(3, [(x, 3), (x, -3)]), element_sum(3, []), x - x):
+        assert zero == AlgebraElement.zero(3) and zero.is_zero
+        assert zero._den == 1 and zero._field is None
+    rational = element_sum(3, [(x, 3), (AlgebraElement.from_matching(m1), -SQRT5)])
+    assert rational == AlgebraElement.from_matching(m2)
+    assert rational._den == 1 and rational._field is None
+    assert (x - AlgebraElement.from_matching(m1, SQRT5 * third))._field is None
+    y = AlgebraElement.from_matching(m1, QuadScalar.root(2))
+    assert element_sum(3, [(x, 1), (y, 0)]) is x
+    for items in ([(x, 1), (y, 1)], [(x, QuadScalar.root(2))]):
+        with pytest.raises(FieldMismatchError):
+            element_sum(3, items)
+    with pytest.raises(FieldMismatchError):
+        x - y
+    with pytest.raises(StrandMismatchError):
+        element_sum(3, [(identity_element(4), 1)])
+    with pytest.raises(StrandMismatchError):
+        x - identity_element(4)
+
+
+def test_results_are_divided_and_pruned_in_place():
+    """A handed-over dict with zero pairs and a common factor is kept, pruned
+    and divided: no copy is made."""
+    n = 3
+    pairs = {tuple(identity_diagram(n)): (4, 0), tuple(e_diagram(1, n)): (0, 0),
+             tuple(v_diagram(1, n)): (6, 2)}
+    kept = AlgebraElement._trusted(n, 2, (5, 1), pairs)
+    assert kept._terms is pairs and kept._den == 1
+    assert pairs == {tuple(identity_diagram(n)): (2, 0), tuple(v_diagram(1, n)): (3, 1)}
+    assert kept == AlgebraElement(n, {identity_diagram(n): as_scalar(2), v_diagram(1, n): 3 + SQRT5})
 
 
 def element_multiply_oracle(x, y, lam):

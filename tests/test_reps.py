@@ -28,7 +28,7 @@ from vtl.reps import (
 )
 from vtl.rho import RhoParams, solve_ab
 from vtl.scalars import as_scalar
-from vtl.tensorrep import pstar_complement
+from vtl.tensorrep import ptranspose_matrix
 from vtl.words import RHO_INV, GeneratorSymbol, parse_word
 
 
@@ -105,7 +105,7 @@ def test_evaluate_expr_is_linear_and_multiplicative():
 def test_complement_expression_evaluates_to_flat_involution():
     rep = MatrixRep(2, 2)
     val = evaluate_expr(e_star(1), rep)
-    assert val == pstar_complement(2)
+    assert val == rep.one() - ptranspose_matrix(2)
     assert rep.mul(val, val) == rep.one()
 
 
@@ -344,3 +344,28 @@ def test_markov_trace_of_the_inverse(a, b, c, lam):
             })
             got = closure_trace(element_multiply(placed(x, n), image, lam), lam)
             assert got == factor * closure_trace(x, lam)
+
+
+def test_diagram_rep_builds_generator_images_on_first_use():
+    rep = DiagramRep(9, 3)
+    assert not rep._e and not rep._v
+    for i in (1, 8, 4):
+        assert rep.e(i) == e_element(i, 9) and rep.e(i) is rep.e(i)
+        assert rep.v(i) == v_element(i, 9) and rep.v(i) is rep.v(i)
+    assert sorted(rep._e) == sorted(rep._v) == [1, 4, 8]
+    with pytest.raises(ValueError):
+        rep.e(9)
+
+
+@pytest.mark.parametrize("rep", [DiagramRep(3, Fraction(5, 2)), MatrixRep(3, 2)],
+                         ids=["diagram", "matrix"])
+def test_combine_is_the_sum_of_scaled_elements(rep):
+    """Both reps' `combine` give zero() + x.scale(c) + ..., consuming a
+    generator; an empty sum is zero."""
+    b = as_scalar(Fraction(-2, 3))
+    items = [(rep.e(1), 3), (rep.v(2), b), (rep.one(), Fraction(1, 2)), (rep.e(1), -1)]
+    want = rep.zero()
+    for x, c in items:
+        want = want + x.scale(c)
+    assert rep.combine(pair for pair in items) == want
+    assert rep.combine(iter(())) == rep.zero()

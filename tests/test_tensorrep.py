@@ -22,14 +22,13 @@ from vtl.rho import RhoParams
 from vtl.scalars import QuadScalar
 from vtl.tensorrep import (
     MAX_TENSOR_DIM,
-    factor_matching,
     matching_matrix,
     perm_matrix,
-    pstar_complement,
     ptranspose_matrix,
     rep_element,
     site_embed,
 )
+from vtl.words import E, V, GeneratorSymbol
 
 
 def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -43,6 +42,60 @@ def kron(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                 for cb in range(b.cols):
                     out[ra * b.rows + rb][ca * b.cols + cb] = a[ra, ca] * b[rb, cb]
     return DenseMatrix(out)
+
+
+def pstar_complement(d: int) -> DenseMatrix:
+    """Identity minus the cup-cap; an involution exactly when d = 2."""
+    return DenseMatrix.identity(d * d) - ptranspose_matrix(d)
+
+
+def _transpositions_for(image: list[int]) -> list[int]:
+    """Adjacent swaps whose diagram product is the permutation diagram.
+
+    Returned values are 0-based positions j meaning the v-generator at site
+    j+1; applying the swaps in list order to the identity wiring yields the
+    wiring `image` (top k connected to bottom image[k]).
+    """
+    work = list(image)
+    swaps: list[int] = []
+    for target in range(len(work)):
+        pos = work.index(target)
+        while pos > target:
+            work[pos - 1], work[pos] = work[pos], work[pos - 1]
+            swaps.append(pos - 1)
+            pos -= 1
+    return swaps
+
+
+def factor_matching(m: Matching) -> list[GeneratorSymbol]:
+    """Write a diagram as a product of e/v generators, with zero extra loops.
+
+    The word has the sandwich shape U * (e_1 e_3 ... e_{2k-1}) * L: the upper
+    permutation U routes the k top arcs onto the leading cup-cap block and
+    the lower permutation L routes the block onto the bottom arcs and wires
+    the through strands.  Evaluating the word in the diagram algebra returns
+    exactly this matching with loop count 0.
+    """
+    n = m.n
+    top_arcs = sorted((p, q) for p, q in m.pairs if q < n)
+    bottom_arcs = sorted((p - n, q - n) for p, q in m.pairs if p >= n)
+    through = sorted((p, q - n) for p, q in m.pairs if p < n <= q)
+    k = len(top_arcs)
+
+    upper = [0] * n  # top position -> middle position
+    lower_at = [0] * n  # middle position -> bottom position
+    for s, (a, b) in enumerate(top_arcs):
+        upper[a], upper[b] = 2 * s, 2 * s + 1
+    for s, (c, e) in enumerate(bottom_arcs):
+        lower_at[2 * s], lower_at[2 * s + 1] = c, e
+    for r, (t, b) in enumerate(through):
+        upper[t] = 2 * k + r
+        lower_at[2 * k + r] = b
+
+    word = [GeneratorSymbol(V, j + 1) for j in _transpositions_for(upper)]
+    word += [GeneratorSymbol(E, 2 * s + 1) for s in range(k)]
+    word += [GeneratorSymbol(V, j + 1) for j in _transpositions_for(lower_at)]
+    return word
 
 
 def matching_matrix_by_pairs(m, rep: MatrixRep) -> DenseMatrix:
